@@ -159,7 +159,14 @@ class Composable {
   /// transaction aborts.
   template <typename T, typename... Args>
   T* tNew(Args&&... args) {
-    T* p = new T(std::forward<Args>(args)...);
+    return tAdopt(new T(std::forward<Args>(args)...));
+  }
+
+  /// tNew for a block the caller constructed itself (e.g. a node whose
+  /// tower shares its allocation): reclaimed the same way on abort, by
+  /// `delete`, so T's own operator delete must match how it was made.
+  template <typename T>
+  T* tAdopt(T* p) {
     if (TxManager::ThreadCtx* c = TxManager::active_ctx()) {
       c->allocs.push_back(
           {p, [](void* q) { delete static_cast<T*>(q); }});

@@ -6,12 +6,31 @@
 // Linearization points:
 //   insert : the CAS linking the new node at level 0 (lin = pub);
 //            upper-level linking is post-linearization cleanup.
+//   put    : absent key — as insert. Present key — an in-place update made
+//            of two critical CASes in one descriptor: the node's level-0
+//            link is re-written to its own value (pub; the counter bump
+//            invalidates every reader that registered the link and
+//            serializes against remove's mark), then the value cell is
+//            CASed (lin). No allocation, tower work, retire or cleanup
+//            (beyond retiring a replaced value box, see below). Outside a
+//            transaction the pair runs as a one-op transaction.
 //   remove : the CAS marking the victim's level-0 next pointer (lin = pub);
 //            upper-level marks are benign pre-linearization CASes (they
 //            cannot make the remove take effect and merely demote the
 //            node), and physical unlinking + retirement is cleanup.
 //   get    : the load of curr->next[0] observing curr unmarked (found), or
-//            of preds[0]->next[0] observing the gap (absent).
+//            of preds[0]->next[0] observing the gap (absent). A found
+//            value is read from the value cell AFTER that load; the link
+//            stays the only registered evidence, which suffices because the
+//            value cell only changes together with a bump of that link.
+//
+// Values: a word-sized trivially copyable V lives in the node's CASObj
+// value cell directly; any other V (std::string, ...) is held as a pointer
+// to an immutable heap box. An update installs a fresh box and retires the
+// replaced one through EBR at commit; a node frees its current box.
+//
+// Node layout: key, level, value cell, then the tower next[0..level) in the
+// same allocation, so a node costs one block.
 //
 // Retirement policy: only the remover retires a node, in its cleanup,
 // after one complete search(k) call has ensured the node is unlinked from
@@ -19,8 +38,9 @@
 // from the single-level list, where the successful unlinker retires.
 
 #include <limits>
-#include <memory>
+#include <new>
 #include <optional>
+#include <type_traits>
 #include <utility>
 #include <vector>
 
@@ -35,12 +55,12 @@ template <typename K, typename V, int kMaxLevel = 20>
 class FraserSkiplist : public core::Composable {
  public:
   explicit FraserSkiplist(core::TxManager* manager)
-      : Composable(manager), head_(new Node(K{}, V{}, kMaxLevel)) {}
+      : Composable(manager), head_(Node::make(K{}, Word{}, kMaxLevel)) {}
 
   ~FraserSkiplist() override {
     Node* n = head_;
     while (n != nullptr) {
-      Node* nx = unmark(n->next[0].load());
+      Node* nx = unmark(n->next(0).load());
       delete n;
       n = nx;
     }
@@ -49,14 +69,12 @@ class FraserSkiplist : public core::Composable {
   std::optional<V> get(const K& k) {
     OpStarter op(mgr);
     Pos pos;
-    std::optional<V> res;
     if (find(pos, k)) {
-      res = pos.succs[0]->val;
-      addToReadSet(&pos.succs[0]->next[0], pos.succ0_next);
-    } else {
-      addToReadSet(&pos.preds[0]->next[0], pos.succs[0]);
+      addToReadSet(&pos.succs[0]->next(0), pos.succ0_next);
+      return unbox(pos.succs[0]->val.nbtcLoad());
     }
-    return res;
+    addToReadSet(&pos.preds[0]->next(0), pos.succs[0]);
+    return std::nullopt;
   }
 
   /// Existence-only probe: same linearizing evidence as get() (the
@@ -65,10 +83,10 @@ class FraserSkiplist : public core::Composable {
     OpStarter op(mgr);
     Pos pos;
     if (find(pos, k)) {
-      addToReadSet(&pos.succs[0]->next[0], pos.succ0_next);
+      addToReadSet(&pos.succs[0]->next(0), pos.succ0_next);
       return true;
     }
-    addToReadSet(&pos.preds[0]->next[0], pos.succs[0]);
+    addToReadSet(&pos.preds[0]->next(0), pos.succs[0]);
     return false;
   }
 
@@ -79,18 +97,55 @@ class FraserSkiplist : public core::Composable {
     for (;;) {
       if (find(pos, k)) {
         if (node != nullptr) tDelete(node);
-        addToReadSet(&pos.succs[0]->next[0], pos.succ0_next);
+        addToReadSet(&pos.succs[0]->next(0), pos.succ0_next);
         return false;
       }
-      if (node == nullptr) node = tNew<Node>(k, v, random_level());
-      for (int i = 0; i < node->level; i++) node->next[i].store(pos.succs[i]);
-      if (pos.preds[0]->next[0].nbtcCAS(pos.succs[0], node, /*lin=*/true,
-                                        /*pub=*/true)) {
-        if (node->level > 1) {
-          addToCleanups([this, node, k] { link_upper(node, k); });
-        }
-        return true;
+      if (node == nullptr) node = new_node(k, v);
+      if (link_new(pos, node, k)) return true;
+    }
+  }
+
+  /// Insert-or-update. Returns the previous value if the key was present.
+  /// A present key is updated in place (see the header comment): one
+  /// descent and two critical CASes, with the node, its tower and its
+  /// neighbours untouched.
+  std::optional<V> put(const K& k, const V& v) {
+    if (core::TxManager::active_ctx() == nullptr) {
+      // The two CASes of an update must land atomically.
+      return *medley::execute_tx(*mgr, [&] { return put(k, v); }).value;
+    }
+    OpStarter op(mgr);
+    Pos pos;
+    Node* node = nullptr;
+    for (;;) {
+      if (!find(pos, k)) {
+        if (node == nullptr) node = new_node(k, v);
+        if (link_new(pos, node, k)) return std::nullopt;
+        continue;
       }
+      if (node != nullptr) {
+        tDelete(node);
+        node = nullptr;
+      }
+      Node* curr = pos.succs[0];
+      // Critical CAS 1: re-write the level-0 link to its own value. Fails
+      // (re-find) if a remove marked it since find.
+      if (!curr->next(0).nbtcCAS(pos.succ0_next, pos.succ0_next,
+                                 /*lin=*/false, /*pub=*/true)) {
+        continue;
+      }
+      // While our descriptor holds the link, no other put or remove of
+      // this key can touch the value cell without first aborting us; a
+      // failed CAS 2 therefore means we were aborted, and the re-find's
+      // first load throws.
+      const Word old = curr->val.nbtcLoad();
+      const Word fresh = new_word(v);
+      if (curr->val.nbtcCAS(old, fresh, /*lin=*/true, /*pub=*/false)) {
+        std::optional<V> res = unbox(old);
+        if constexpr (kBoxed) tRetire(old);
+        return res;
+      }
+      if constexpr (kBoxed) tDelete(fresh);
     }
   }
 
@@ -99,24 +154,26 @@ class FraserSkiplist : public core::Composable {
     Pos pos;
     for (;;) {
       if (!find(pos, k)) {
-        addToReadSet(&pos.preds[0]->next[0], pos.succs[0]);
+        addToReadSet(&pos.preds[0]->next(0), pos.succs[0]);
         return std::nullopt;
       }
       Node* victim = pos.succs[0];
       // Demote: mark every upper level, top down (benign helping CASes).
       for (int lvl = victim->level - 1; lvl >= 1; lvl--) {
-        Node* nx = victim->next[lvl].nbtcLoad();
+        Node* nx = victim->next(lvl).nbtcLoad();
         while (!is_marked(nx)) {
-          victim->next[lvl].nbtcCAS(nx, mark(nx), false, false);
-          nx = victim->next[lvl].nbtcLoad();
+          victim->next(lvl).nbtcCAS(nx, mark(nx), false, false);
+          nx = victim->next(lvl).nbtcLoad();
         }
       }
       // Linearize: mark level 0.
-      Node* nx0 = victim->next[0].nbtcLoad();
+      Node* nx0 = victim->next(0).nbtcLoad();
       while (!is_marked(nx0)) {
-        if (victim->next[0].nbtcCAS(nx0, mark(nx0), /*lin=*/true,
+        if (victim->next(0).nbtcCAS(nx0, mark(nx0), /*lin=*/true,
                                     /*pub=*/true)) {
-          V res = victim->val;
+          // The mark froze the value cell: a put must re-write the
+          // unmarked link before it may touch the value.
+          V res = unbox(victim->val.nbtcLoad());
           addToCleanups([this, victim, k] {
             Pos p;
             find(p, k);  // one full search unlinks victim everywhere
@@ -124,7 +181,7 @@ class FraserSkiplist : public core::Composable {
           });
           return res;
         }
-        nx0 = victim->next[0].nbtcLoad();
+        nx0 = victim->next(0).nbtcLoad();
       }
       // Lost the race to another remover: re-evaluate from scratch.
     }
@@ -133,10 +190,11 @@ class FraserSkiplist : public core::Composable {
   /// Ordered range query: all live entries with lo <= key <= hi, ascending.
   /// Transactional callers get an atomic snapshot: every level-0 link from
   /// the predecessor of lo through the first key beyond hi joins the read
-  /// set, so any insert or remove inside the window between our traversal
-  /// and commit fails validation (an insert rewrites a covered next[0], a
-  /// remove marks one). Read-set capacity bounds the window (~4K entries;
-  /// overflow is a retryable Capacity abort).
+  /// set, so any insert, remove or update inside the window between our
+  /// traversal and commit fails validation (an insert rewrites a covered
+  /// next[0], a remove marks one, an update re-writes one in place).
+  /// Read-set capacity bounds the window (~4K entries; overflow is a
+  /// retryable Capacity abort).
   std::vector<std::pair<K, V>> range(const K& lo, const K& hi) {
     return scan_impl(
         lo, [&hi](const K& k) { return !(hi < k); },
@@ -153,9 +211,9 @@ class FraserSkiplist : public core::Composable {
   std::size_t size_slow() {
     OpStarter op(mgr);
     std::size_t n = 0;
-    for (Node* cur = unmark(head_->next[0].load()); cur != nullptr;
-         cur = unmark(cur->next[0].load())) {
-      if (!is_marked(cur->next[0].load())) n++;
+    for (Node* cur = unmark(head_->next(0).load()); cur != nullptr;
+         cur = unmark(cur->next(0).load())) {
+      if (!is_marked(cur->next(0).load())) n++;
     }
     return n;
   }
@@ -163,9 +221,9 @@ class FraserSkiplist : public core::Composable {
   std::vector<K> keys_slow() {
     OpStarter op(mgr);
     std::vector<K> out;
-    for (Node* cur = unmark(head_->next[0].load()); cur != nullptr;
-         cur = unmark(cur->next[0].load())) {
-      if (!is_marked(cur->next[0].load())) out.push_back(cur->key);
+    for (Node* cur = unmark(head_->next(0).load()); cur != nullptr;
+         cur = unmark(cur->next(0).load())) {
+      if (!is_marked(cur->next(0).load())) out.push_back(cur->key);
     }
     return out;
   }
@@ -176,16 +234,16 @@ class FraserSkiplist : public core::Composable {
     OpStarter op(mgr);
     // Strict ascent at level 0.
     Node* prev = nullptr;
-    for (Node* cur = unmark(head_->next[0].load()); cur != nullptr;
-         cur = unmark(cur->next[0].load())) {
+    for (Node* cur = unmark(head_->next(0).load()); cur != nullptr;
+         cur = unmark(cur->next(0).load())) {
       if (prev != nullptr && !(prev->key < cur->key)) return false;
       prev = cur;
     }
     // Upper-level sortedness.
     for (int lvl = 1; lvl < kMaxLevel; lvl++) {
       Node* p = nullptr;
-      for (Node* cur = unmark(head_->next[lvl].load()); cur != nullptr;
-           cur = unmark(cur->next[lvl].load())) {
+      for (Node* cur = unmark(head_->next(lvl).load()); cur != nullptr;
+           cur = unmark(cur->next(lvl).load())) {
         if (p != nullptr && !(p->key < cur->key)) return false;
         p = cur;
       }
@@ -197,14 +255,66 @@ class FraserSkiplist : public core::Composable {
   template <typename T>
   using CASObj = core::CASObj<T>;
 
+  /// Boxed values: anything CASObj cannot hold in its word.
+  static constexpr bool kBoxed =
+      !(sizeof(V) <= 8 && std::is_trivially_copyable_v<V>);
+  struct Box {
+    explicit Box(const V& x) : v(x) {}
+    const V v;
+  };
+  /// What the value cell holds: V itself, or its immutable box.
+  using Word = std::conditional_t<kBoxed, Box*, V>;
+
+  static V unbox(Word w) {
+    if constexpr (kBoxed) {
+      return w->v;
+    } else {
+      return w;
+    }
+  }
+
+  struct Node;
+  using Link = CASObj<Node*>;
+
   struct Node {
     K key;
-    V val;
     int level;
-    std::unique_ptr<CASObj<Node*>[]> next;
-    Node(const K& k, const V& v, int lvl)
-        : key(k), val(v), level(lvl), next(new CASObj<Node*>[lvl]) {}
+    CASObj<Word> val;
+    // next[0..level) follows in the same allocation.
+
+    /// One allocation for the header and the tower; the node owns w.
+    static Node* make(const K& k, Word w, int lvl) {
+      void* mem = nullptr;
+      try {
+        mem = ::operator new(sizeof(Node) +
+                             static_cast<std::size_t>(lvl) * sizeof(Link));
+        return ::new (mem) Node(k, w, lvl);
+      } catch (...) {
+        ::operator delete(mem);
+        if constexpr (kBoxed) delete w;
+        throw;
+      }
+    }
+    static void* operator new(std::size_t) = delete;
+    static void operator delete(void* p) { ::operator delete(p); }
+
+    ~Node() {
+      if constexpr (kBoxed) delete val.load();
+    }
+
+    Link& next(int i) {
+      return std::launder(reinterpret_cast<Link*>(this + 1))[i];
+    }
+
+   private:
+    Node(const K& k, Word w, int lvl) : key(k), level(lvl), val(w) {
+      for (int i = 0; i < lvl; i++) ::new (&next(i)) Link();
+    }
   };
+  static_assert(std::is_trivially_destructible_v<Link>);
+  static_assert(alignof(Node) % alignof(Link) == 0,
+                "the tower must start aligned right after the header");
+  static_assert(alignof(Node) <= __STDCPP_DEFAULT_NEW_ALIGNMENT__);
 
   struct Pos {
     Node* preds[kMaxLevel];
@@ -222,6 +332,40 @@ class FraserSkiplist : public core::Composable {
     return lvl;
   }
 
+  /// A value cell's content for v: v itself, or a transactionally
+  /// allocated box (reclaimed if the transaction aborts).
+  Word new_word(const V& v) {
+    if constexpr (kBoxed) {
+      return tNew<Box>(v);
+    } else {
+      return v;
+    }
+  }
+
+  /// A fresh unpublished node (reclaimed if the transaction aborts).
+  Node* new_node(const K& k, const V& v) {
+    if constexpr (kBoxed) {
+      return tAdopt(Node::make(k, new Box(v), random_level()));
+    } else {
+      return tAdopt(Node::make(k, v, random_level()));
+    }
+  }
+
+  /// Publish `node` between pos's level-0 pred and succ (insert's lin = pub
+  /// CAS); upper levels are linked by a commit-time cleanup. False: the
+  /// gap changed, re-find.
+  bool link_new(Pos& pos, Node* node, const K& k) {
+    for (int i = 0; i < node->level; i++) node->next(i).store(pos.succs[i]);
+    if (!pos.preds[0]->next(0).nbtcCAS(pos.succs[0], node, /*lin=*/true,
+                                       /*pub=*/true)) {
+      return false;
+    }
+    if (node->level > 1) {
+      addToCleanups([this, node, k] { link_upper(node, k); });
+    }
+    return true;
+  }
+
   /// Fraser's search: compute preds/succs at every level for key k,
   /// unlinking marked nodes encountered on the path (restarting from the
   /// top when an unlink CAS fails). Returns true iff succs[0] holds k.
@@ -229,17 +373,17 @@ class FraserSkiplist : public core::Composable {
   retry:
     Node* pred = head_;
     for (int lvl = kMaxLevel - 1; lvl >= 0; lvl--) {
-      Node* curr = pred->next[lvl].nbtcLoad();
+      Node* curr = pred->next(lvl).nbtcLoad();
       // A marked value here means pred itself was deleted while we were
       // descending from the level above: restart from the head.
       if (is_marked(curr)) goto retry;
       for (;;) {
         if (curr == nullptr) break;
-        Node* raw = curr->next[lvl].nbtcLoad();
+        Node* raw = curr->next(lvl).nbtcLoad();
         if (is_marked(raw)) {
           // curr is logically deleted at this level: help unlink. No
           // retirement here — the remover retires after its own search.
-          if (!pred->next[lvl].nbtcCAS(curr, unmark(raw), false, false)) {
+          if (!pred->next(lvl).nbtcCAS(curr, unmark(raw), false, false)) {
             goto retry;
           }
           curr = unmark(raw);
@@ -292,14 +436,14 @@ class FraserSkiplist : public core::Composable {
       out.clear();
       Pos pos;
       find(pos, lo);
-      CASObj<Node*>* pred_cell = &pos.preds[0]->next[0];
+      CASObj<Node*>* pred_cell = &pos.preds[0]->next(0);
       Node* curr = pos.succs[0];
       // Entry evidence: nothing sits between pred(lo) and the first
       // candidate (pins absence for an empty result, too).
       reg(pred_cell, curr);
       bool restart = false;
       while (curr != nullptr && out.size() < limit && in_range(curr->key)) {
-        Node* raw = curr->next[0].nbtcLoad();
+        Node* raw = curr->next(0).nbtcLoad();
         if (is_marked(raw)) {
           // curr is logically deleted: help unlink it past pred_cell (no
           // retirement — the remover retires after its own search).
@@ -321,9 +465,9 @@ class FraserSkiplist : public core::Composable {
           curr = unmark(raw);
           continue;
         }
-        out.emplace_back(curr->key, curr->val);
-        reg(&curr->next[0], raw);  // witnesses curr live + successor
-        pred_cell = &curr->next[0];
+        reg(&curr->next(0), raw);  // witnesses curr live + successor
+        out.emplace_back(curr->key, unbox(curr->val.nbtcLoad()));
+        pred_cell = &curr->next(0);
         curr = raw;
       }
       if (!restart) return out;
@@ -342,17 +486,17 @@ class FraserSkiplist : public core::Composable {
       for (;;) {
         Pos pos;
         find(pos, k);
-        Node* cur = node->next[lvl].load();
+        Node* cur = node->next(lvl).load();
         if (is_marked(cur) || pos.succs[0] != node) {
           abandoned = true;  // node being/been removed: stop helping it up
           break;
         }
         if (cur != pos.succs[lvl] &&
-            !node->next[lvl].CAS(cur, pos.succs[lvl])) {
+            !node->next(lvl).CAS(cur, pos.succs[lvl])) {
           abandoned = true;  // concurrently marked
           break;
         }
-        if (pos.preds[lvl]->next[lvl].CAS(pos.succs[lvl], node)) break;
+        if (pos.preds[lvl]->next(lvl).CAS(pos.succs[lvl], node)) break;
         // Predecessor moved: re-find and retry this level.
       }
     }
@@ -362,7 +506,7 @@ class FraserSkiplist : public core::Composable {
     // marked, run one more search — it unlinks whatever we linked, and it
     // happens before our EBR guard releases, i.e. before the node can be
     // freed.
-    if (is_marked(node->next[0].load())) {
+    if (is_marked(node->next(0).load())) {
       Pos pos;
       find(pos, k);
     }

@@ -59,7 +59,21 @@ class TxMontageMap {
     return false;
   }
 
+  /// Insert-or-update: the fresh payload replaces the old one, which is
+  /// retired. A bare call runs as a one-op transaction, so the payload's
+  /// fate follows the index update's (the skiplist's in-place update is
+  /// itself a transaction; an aborted attempt must not free a payload the
+  /// retry still links).
   std::optional<std::uint64_t> put(std::uint64_t k, std::uint64_t v) {
+    if (core::TxManager::active_ctx() == nullptr) {
+      TxPolicy bare;
+      bare.retry_capacity = false;  // a full region still throws, as below
+      auto r = execute_tx(*index_.mgr, [&] { return put(k, v); }, bare);
+      if (!r.committed()) {
+        throw std::runtime_error("txMontage: persistent region exhausted");
+      }
+      return *r.value;
+    }
     EpochSys::OpGuard g(es_);
     PBlk* payload = alloc(k, v);
     auto old = index_.put(k, payload);

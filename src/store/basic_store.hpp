@@ -20,9 +20,10 @@
 //
 // Interface contract:
 //   Primary:   get/put/remove (put returns the previous value);
-//   Secondary: insert/remove/range/scan (no put — replace is remove+insert
-//              inside the same transaction, which is equivalent and
-//              exercises the composition harder).
+//   Secondary: put/remove/range/scan (put is insert-or-update; the Fraser
+//              skiplist updates a present key in place — one descent and
+//              two critical CASes, no new node — so a replace costs the
+//              secondary about what it costs the hash primary).
 //
 // Nesting: a store operation called while the thread is already inside a
 // transaction of the same manager flat-nests into it (its effects commit
@@ -740,8 +741,7 @@ class BasicMedleyStore : public core::Composable {
 
   std::optional<V> put_in_tx(const K& k, const V& v) {
     std::optional<V> old = primary_->put(k, v);
-    if (old) secondary_->remove(k);
-    secondary_->insert(k, v);
+    secondary_->put(k, v);
     feed_append(FeedItem{FeedOp::Put, k, v});
     // Key-count accounting rides the cleanup list like the feed counters:
     // counted once iff the mutation actually commits, so key_count() is

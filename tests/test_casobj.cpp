@@ -3,6 +3,7 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <cstdint>
 
 #include "core/medley.hpp"
@@ -81,26 +82,38 @@ TEST(CasObj, CounterMonotoneUnderContention) {
 }
 
 TEST(CasObj, CasRetriesThroughCounterOnlyChange) {
-  // Two threads CAS between the same two values; a failed 128-bit CAS due
-  // to a counter bump with an unchanged value must be retried internally,
-  // so the only way plain CAS returns false is a genuine value mismatch.
-  CASObj<std::uint64_t> o(0);
-  std::atomic<int> false_fails{0};
+  // Plain CAS compares values, not counters: a counter-only change (here
+  // a store of the value already there) between the caller's load and its
+  // CAS must not make CAS(v, v') fail. The interleaving is pinned, so the
+  // outcome is exact.
+  CASObj<std::uint64_t> o(7);
+  std::uint64_t seen = 0;
+  bool swapped = false;
+  medley::test::harness::ScheduleDriver d;
+  d.add_thread({[&] { seen = o.load(); },
+                [&] { swapped = o.CAS(seen, seen + 1); }});
+  d.add_thread({[&] { o.store(o.load()); }});  // counter-only bump
+  d.run({0, 1, 0});
+  EXPECT_TRUE(swapped);
+  EXPECT_EQ(o.load(), 8u);
+  EXPECT_EQ(o.raw().hi, 4u);  // the bump and the CAS, 2 each
+
+  // Free-running: the value never changes, so every CAS(0, 0) must succeed
+  // however the other thread's counter-only bumps land inside its
+  // compare-exchange (the internal retry path).
+  CASObj<std::uint64_t> z(0);
+  std::atomic<int> fails{0};
   medley::test::run_threads(2, [&](int t) {
     for (int i = 0; i < 10000; i++) {
       if (t == 0) {
-        o.CAS(0, 1);
-        o.CAS(1, 0);
-      } else {
-        // value is always 0 or 1
-        auto v = o.load();
-        if (!o.CAS(v, v) && o.load() == v) false_fails.fetch_add(1);
+        z.store(0);
+      } else if (!z.CAS(0, 0)) {
+        fails.fetch_add(1);
       }
     }
   });
-  // o.CAS(v,v) failing while value still v would mean a spurious failure
-  // leaked through (racy re-check, so tolerate the odd blip).
-  EXPECT_LE(false_fails.load(), 1);
+  EXPECT_EQ(fails.load(), 0);
+  EXPECT_EQ(z.raw().hi, 4u * 10000);
 }
 
 TEST(CasObj, RawExposesValueCounterPair) {

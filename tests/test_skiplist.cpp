@@ -1,14 +1,20 @@
 // Fraser-skiplist-specific behaviour: upper-level linking/cleanup,
-// tower demotion on remove, behaviour under many levels, plus a
-// longer-running concurrent oracle check.
+// tower demotion on remove, behaviour under many levels, the in-place put
+// (its conflicts with ranges and removes, boxed values and their
+// reclamation), plus a longer-running concurrent oracle check.
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <map>
+#include <string>
 #include <thread>
+#include <utility>
+#include <vector>
 
 #include "ds/fraser_skiplist.hpp"
+#include "smr/ebr.hpp"
 #include "test_support.hpp"
 #include "util/rng.hpp"
 
@@ -198,10 +204,11 @@ TEST(SkiplistOracle, DeterministicInterleavingMatchesStdMap) {
     for (int i = 0; i < 60; i++) {
       const auto k = rng.next_bounded(10);
       const auto v = rng.next();
-      switch (rng.next_bounded(4)) {
+      switch (rng.next_bounded(5)) {
         case 0: steps.push_back([&rm, t, k, v] { rm.insert(t, k, v); }); break;
         case 1: steps.push_back([&rm, t, k] { rm.remove(t, k); }); break;
         case 2: steps.push_back([&rm, t, k] { rm.contains(t, k); }); break;
+        case 3: steps.push_back([&rm, t, k, v] { rm.put(t, k, v); }); break;
         default: steps.push_back([&rm, t, k] { rm.get(t, k); }); break;
       }
     }
@@ -227,11 +234,22 @@ TEST(SkiplistOracle, RangeAgreesWithMapOracleUnderPinnedInterleavings) {
     for (int i = 0; i < 80; i++) {
       const auto k = rng.next_bounded(24);
       const auto v = rng.next();
-      switch (rng.next_bounded(4)) {
+      switch (rng.next_bounded(5)) {
         case 0:
           steps.push_back([&s, &oracle, k, v] {
             const bool ins = s.insert(k, v);
             ASSERT_EQ(ins, oracle.emplace(k, v).second);
+          });
+          break;
+        case 3:
+          steps.push_back([&s, &oracle, k, v] {
+            auto got = s.put(k, v);
+            auto it = oracle.find(k);
+            ASSERT_EQ(got.has_value(), it != oracle.end());
+            if (got) {
+              ASSERT_EQ(*got, it->second);
+            }
+            oracle[k] = v;
           });
           break;
         case 1:
@@ -336,9 +354,10 @@ TEST(SkiplistOracle, ConcurrentHistorySatisfiesSetInvariants) {
       const auto k = rng.next_bounded(32);
       const auto v = (static_cast<std::uint64_t>(t) << 32) |
                      static_cast<std::uint64_t>(i);
-      switch (rng.next_bounded(3)) {
+      switch (rng.next_bounded(4)) {
         case 0: rm.insert(t, k, v); break;
         case 1: rm.remove(t, k); break;
+        case 2: rm.put(t, k, v); break;
         default: rm.get(t, k); break;
       }
     }
@@ -372,4 +391,261 @@ TEST(Skiplist, ScanReadSetFootprintSinglePassExact) {
   EXPECT_EQ(sc.size(), 40u);
   EXPECT_EQ(mgr.my_desc()->read_count(), 41);
   mgr.txEnd();
+}
+
+// ---------------------------------------------------------------------
+// put: insert-or-update; a present key is updated in place.
+
+namespace {
+using KV = std::pair<std::uint64_t, std::uint64_t>;
+}  // namespace
+
+TEST(SkiplistPut, InsertsOrUpdatesInPlace) {
+  TxManager mgr;
+  SL s(&mgr);
+  for (std::uint64_t k = 1; k <= 64; k++) ASSERT_FALSE(s.put(k, k).has_value());
+  for (std::uint64_t k = 1; k <= 64; k++) {
+    ASSERT_EQ(s.put(k, k + 100), std::optional<std::uint64_t>(k));
+  }
+  EXPECT_EQ(s.size_slow(), 64u);
+  EXPECT_EQ(s.get(7), std::optional<std::uint64_t>(107));
+  EXPECT_TRUE(s.invariants_hold_slow());
+
+  // An update is exactly two critical CASes (the level-0 link re-write and
+  // the value cell) and registers no read.
+  mgr.txBegin();
+  EXPECT_EQ(s.put(7, 200), std::optional<std::uint64_t>(107));
+  EXPECT_EQ(mgr.my_desc()->write_count(), 2);
+  EXPECT_EQ(mgr.my_desc()->read_count(), 0);
+  // Own speculative value is visible to every reader of the transaction,
+  // and a second put of the key updates the same two write entries.
+  EXPECT_EQ(s.get(7), std::optional<std::uint64_t>(200));
+  EXPECT_EQ(s.put(7, 201), std::optional<std::uint64_t>(200));
+  EXPECT_EQ(mgr.my_desc()->write_count(), 2);
+  EXPECT_EQ(s.range(6, 8), (std::vector<KV>{{6, 106}, {7, 201}, {8, 108}}));
+  mgr.txEnd();
+  EXPECT_EQ(s.get(7), std::optional<std::uint64_t>(201));
+
+  // An aborted update leaves the old value.
+  try {
+    mgr.txBegin();
+    s.put(7, 999);
+    mgr.txAbort();
+  } catch (const TransactionAborted&) {
+  }
+  EXPECT_EQ(s.get(7), std::optional<std::uint64_t>(201));
+  EXPECT_EQ(s.remove(7), std::optional<std::uint64_t>(201));
+  EXPECT_FALSE(s.put(7, 1).has_value());
+  EXPECT_EQ(s.size_slow(), 64u);
+  EXPECT_TRUE(s.invariants_hold_slow());
+}
+
+TEST(SkiplistPut, CommittedPutInvalidatesEarlierRangePinned) {
+  // t0 opens a transaction and ranges over 2..6; t1 then commits a put;
+  // t0 tries to commit. A put of a key inside the window re-writes a
+  // registered level-0 link, so t0 must fail validation; a put of the key
+  // just past the window touches no registered link and t0 commits. Both
+  // the full-transaction and the read-only snapshot path.
+  for (const bool ro : {false, true}) {
+    for (const std::uint64_t put_key : {4u, 7u}) {
+      SCOPED_TRACE(std::string(ro ? "read-only" : "full") + " put " +
+                   std::to_string(put_key));
+      TxManager mgr;
+      SL s(&mgr);
+      for (std::uint64_t k = 1; k <= 8; k++) s.insert(k, k);
+      std::vector<KV> seen;
+      std::optional<medley::AbortReason> abort_reason;
+      h::ScheduleDriver d;
+      d.add_thread({[&] {
+                      ro ? mgr.txBeginRO() : mgr.txBegin();
+                      seen = s.range(2, 6);
+                    },
+                    [&] {
+                      try {
+                        ro ? mgr.txEndRO() : mgr.txEnd();
+                      } catch (const TransactionAborted& e) {
+                        abort_reason = e.reason();
+                      }
+                    }});
+      d.add_thread({[&] {
+        EXPECT_EQ(s.put(put_key, 100 * put_key),
+                  std::optional<std::uint64_t>(put_key));
+      }});
+      d.run({0, 1, 0});
+      EXPECT_EQ(seen,
+                (std::vector<KV>{{2, 2}, {3, 3}, {4, 4}, {5, 5}, {6, 6}}));
+      if (put_key == 4) {
+        ASSERT_TRUE(abort_reason.has_value());
+        EXPECT_EQ(*abort_reason, medley::AbortReason::Validation);
+        EXPECT_EQ(s.range(4, 4), (std::vector<KV>{{4, 400}}));
+      } else {
+        EXPECT_FALSE(abort_reason.has_value());
+        EXPECT_EQ(s.get(7), std::optional<std::uint64_t>(700));
+      }
+    }
+  }
+}
+
+TEST(SkiplistPut, RacingRemoveNeitherLosesNorResurrectsValues) {
+  // Two putters write globally unique values, two removers remove; half
+  // the calls are bare, half run in explicit transactions. Every value
+  // written is consumed exactly once — returned as the old value of a
+  // later put or by a remove — or is still in the map at the end. A lost
+  // update would leave a value unaccounted for; a resurrected one would be
+  // consumed twice.
+  TxManager mgr;
+  SL s(&mgr);
+  constexpr std::uint64_t kKeys = 4;
+  std::vector<KV> written[2], consumed[4];
+  h::run_seeded(4, 77, [&](int t, medley::util::Xoshiro256& rng) {
+    for (std::uint64_t i = 0; i < 3000; i++) {
+      const std::uint64_t k = rng.next_bounded(kKeys);
+      const bool in_tx = rng.next_bounded(2) == 0;
+      std::optional<std::uint64_t> old;
+      if (t < 2) {
+        const std::uint64_t v = (static_cast<std::uint64_t>(t + 1) << 32) | i;
+        if (in_tx) {
+          medley::execute_tx(mgr, [&] { old = s.put(k, v); });
+        } else {
+          old = s.put(k, v);
+        }
+        written[t].push_back({k, v});
+      } else if (in_tx) {
+        medley::execute_tx(mgr, [&] { old = s.remove(k); });
+      } else {
+        old = s.remove(k);
+      }
+      if (old) consumed[t].push_back({k, *old});
+    }
+  });
+  EXPECT_TRUE(s.invariants_hold_slow());
+  std::vector<KV> want, got;
+  for (const auto& w : written) want.insert(want.end(), w.begin(), w.end());
+  for (const auto& c : consumed) got.insert(got.end(), c.begin(), c.end());
+  for (std::uint64_t k = 0; k < kKeys; k++) {
+    if (auto v = s.get(k)) got.push_back({k, *v});
+  }
+  std::sort(want.begin(), want.end());
+  std::sort(got.begin(), got.end());
+  EXPECT_EQ(got.size(), want.size());
+  EXPECT_TRUE(got == want) << "a value was lost or consumed twice";
+}
+
+TEST(SkiplistPut, BarePutsRacingTransactionalScansSeeOnlySnapshots) {
+  // One writer sweeps rounds g = 1, 2, ...: bare put(k, g) for k = 0..N-1
+  // in ascending order. Any atomic snapshot then holds round g on a prefix
+  // and g-1 on the rest: values never rise along the keys and span at
+  // most 1. Committed scans, full and read-only, must see such a stair.
+  TxManager mgr;
+  SL s(&mgr);
+  constexpr std::uint64_t kN = 32;
+  for (std::uint64_t k = 0; k < kN; k++) s.insert(k, 0);
+  std::atomic<bool> done{false}, torn{false};
+  std::atomic<int> snapshots[2] = {0, 0};
+  medley::test::run_threads(3, [&](int t) {
+    if (t == 0) {
+      for (std::uint64_t g = 1; g <= 300; g++) {
+        for (std::uint64_t k = 0; k < kN; k++) s.put(k, g);
+      }
+      done.store(true);
+      return;
+    }
+    medley::TxPolicy policy;
+    policy.read_only = t == 2;
+    medley::TxExecutor ex(policy);
+    while (!done.load() || snapshots[t - 1].load() == 0) {
+      std::vector<KV> snap;
+      if (!ex.execute(mgr, [&] { snap = s.scan(0, kN); }).committed()) {
+        continue;
+      }
+      snapshots[t - 1].fetch_add(1);
+      if (snap.size() != kN) torn.store(true);
+      for (std::size_t j = 1; j < snap.size(); j++) {
+        if (snap[j].second > snap[j - 1].second) torn.store(true);
+      }
+      if (snap.front().second > snap.back().second + 1) torn.store(true);
+    }
+  });
+  EXPECT_FALSE(torn.load()) << "a committed scan saw a torn sweep";
+  EXPECT_GT(snapshots[0].load(), 0);
+  EXPECT_GT(snapshots[1].load(), 0);
+  for (std::uint64_t k = 0; k < kN; k++) {
+    EXPECT_EQ(s.get(k), std::optional<std::uint64_t>(300));
+  }
+  EXPECT_TRUE(s.invariants_hold_slow());
+}
+
+// Values that do not fit CASObj's word are held as a pointer to an
+// immutable box; an update installs a new box and retires the old one.
+
+TEST(SkiplistPut, StringValuesReplaceRoundTrip) {
+  TxManager mgr;
+  medley::ds::FraserSkiplist<std::string, std::string> s(&mgr);
+  const std::string big(200, 'x');  // beyond any small-string buffer
+  EXPECT_FALSE(s.put("alpha", "one").has_value());
+  EXPECT_TRUE(s.insert("beta", big));
+  EXPECT_EQ(s.put("alpha", "two"), std::optional<std::string>("one"));
+  EXPECT_EQ(s.put("beta", "short"), std::optional<std::string>(big));
+  EXPECT_EQ(s.get("alpha"), std::optional<std::string>("two"));
+  medley::execute_tx(mgr, [&] {
+    s.put("alpha", "three");
+    s.put("alpha", big);
+  });
+  EXPECT_EQ(s.get("alpha"), std::optional<std::string>(big));
+  try {
+    mgr.txBegin();
+    s.put("beta", "never");
+    mgr.txAbort();
+  } catch (const TransactionAborted&) {
+  }
+  EXPECT_EQ(s.range("a", "z"),
+            (std::vector<std::pair<std::string, std::string>>{
+                {"alpha", big}, {"beta", "short"}}));
+  EXPECT_EQ(s.remove("alpha"), std::optional<std::string>(big));
+  EXPECT_EQ(s.scan("", 10).size(), 1u);
+}
+
+namespace {
+/// A boxed value type (not trivially copyable) that counts its instances.
+struct Counted {
+  explicit Counted(std::uint64_t x) : v(x) { live.fetch_add(1); }
+  Counted(const Counted& o) : v(o.v) { live.fetch_add(1); }
+  Counted& operator=(const Counted&) = default;
+  ~Counted() { live.fetch_sub(1); }
+  std::uint64_t v;
+  static inline std::atomic<long> live{0};
+};
+}  // namespace
+
+TEST(SkiplistPut, ReplacedBoxesAreReclaimed) {
+  auto& ebr = medley::smr::EBR::instance();
+  const long base = Counted::live.load();
+  {
+    TxManager mgr;
+    medley::ds::FraserSkiplist<std::uint64_t, Counted> s(&mgr);
+    constexpr std::uint64_t kKeys = 10;
+    for (std::uint64_t r = 0; r < 50; r++) {
+      for (std::uint64_t k = 0; k < kKeys; k++) s.put(k, Counted(r));
+    }
+    medley::execute_tx(mgr, [&] {  // a box replaced within its own tx
+      s.put(0, Counted(100));
+      s.put(0, Counted(101));
+    });
+    try {  // an aborted update's box
+      mgr.txBegin();
+      s.put(1, Counted(102));
+      mgr.txAbort();
+    } catch (const TransactionAborted&) {
+    }
+    EXPECT_EQ(s.get(0)->v, 101u);
+    EXPECT_EQ(s.get(1)->v, 49u);
+    ebr.drain();
+    EXPECT_EQ(ebr.limbo_size(), 0u);
+    EXPECT_EQ(Counted::live.load() - base, static_cast<long>(kKeys))
+        << "one live box per key once the limbo drains";
+    s.remove(3);
+    ebr.drain();
+    EXPECT_EQ(Counted::live.load() - base, static_cast<long>(kKeys) - 1);
+  }
+  EXPECT_EQ(Counted::live.load(), base);
 }

@@ -350,6 +350,62 @@ TEST(PersistentStore, BasicsSurviveCrashAndRecovery) {
   std::remove(path.c_str());
 }
 
+TEST(PersistentStore, OverwritesRecoverNewValuesAndRetireOldPayloads) {
+  // Overwrite every key several times (the secondary updates in place,
+  // swapping its payload pointer), crash, recover. Both indexes must hold
+  // the last value, and exactly one payload per key and index may survive:
+  // each overwrite retired exactly the payload it replaced in each index.
+  auto path = temp_region("overwrite");
+  constexpr std::uint64_t kKeys = 20;
+  constexpr std::uint64_t kRounds = 5;
+  constexpr std::uint64_t kSid = 3;
+  {
+    medley::montage::PRegion region(path, 2048);
+    TxManager mgr;
+    medley::montage::EpochSys es(&region);
+    es.attach(&mgr);
+    PersistentMedleyStore s(&mgr, &es, kSid, {.buckets = 64});
+    for (std::uint64_t r = 0; r <= kRounds; r++) {
+      for (std::uint64_t k = 0; k < kKeys; k++) {
+        auto old = s.put(k, k + 1000 * r);
+        ASSERT_EQ(old.has_value(), r > 0);
+        if (old) ASSERT_EQ(*old, k + 1000 * (r - 1));
+      }
+    }
+    EXPECT_TRUE(mutually_consistent(s));
+    es.sync();
+    EXPECT_EQ(es.durable_payload_count(), 2 * kKeys);
+  }  // crash
+  {
+    medley::montage::PRegion region(path, 2048);
+    TxManager mgr;
+    medley::montage::EpochSys es(&region);
+    auto recovered = es.recover();
+    std::map<std::uint64_t, std::map<std::uint64_t, std::uint64_t>> by_sid;
+    for (const auto& r : recovered) {
+      EXPECT_TRUE(by_sid[r.sid].emplace(r.key, r.val).second)
+          << "two surviving payloads for key " << r.key << " sid " << r.sid;
+    }
+    for (const std::uint64_t sid : {kSid, kSid + 1}) {
+      ASSERT_EQ(by_sid[sid].size(), kKeys) << "sid " << sid;
+      for (const auto& [k, v] : by_sid[sid]) {
+        EXPECT_EQ(v, k + 1000 * kRounds) << "sid " << sid;
+      }
+    }
+    es.attach(&mgr);
+    PersistentMedleyStore s(&mgr, &es, kSid, {.buckets = 64});
+    s.recover_from(recovered);
+    for (std::uint64_t k = 0; k < kKeys; k++) {
+      EXPECT_EQ(s.get(k), std::optional<std::uint64_t>(k + 1000 * kRounds));
+    }
+    for (const auto& [k, v] : s.range(0, kKeys)) {
+      EXPECT_EQ(v, k + 1000 * kRounds);
+    }
+    EXPECT_TRUE(mutually_consistent(s));
+  }
+  std::remove(path.c_str());
+}
+
 TEST(PersistentStore, ConcurrentCrashRecoveryKeepsIndexesConsistent) {
   // Threads write key PAIRS (k, k+1000) atomically via multi_put while
   // the epoch advancer runs; the process then "crashes" mid-stream. The

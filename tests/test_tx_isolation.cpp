@@ -53,10 +53,7 @@ struct Bank {
     if (a % 2 == 0) {
       hash.put(a, v);
     } else {
-      // Fraser skiplist has no put; remove+insert inside the transaction
-      // is equivalent and exercises the composition harder.
-      skip.remove(a);
-      skip.insert(a, v);
+      skip.put(a, v);  // in-place update: link re-write + value CAS
     }
   }
 
