@@ -46,16 +46,10 @@
 //                         group-commit ablation (BENCH_ycsb_combining.json);
 //                         rows carry combined_{ops,batches}, whose ratio is
 //                         the realized amortization factor;
-//   MedleyStore-ro / ShardedMedleyStore-{1,4,8}-ro — identical stores
-//                         with StoreConfig::read_only_reads: get/scan run
-//                         as validation-only snapshot transactions (no
-//                         descriptor publication, no read-set tracking).
-//                         Registered for the read-heavy mixes B/C only —
-//                         the read-path ablation (BENCH_ycsb_readonly.json);
 //   RawHash             — an untracked MichaelHashTable probed outside any
 //                         transaction: the floor a YCSB-C read can ever
-//                         reach. The read-only mode's acceptance bar is
-//                         staying within ~2x of this row.
+//                         reach (B/C only; the store rows read through
+//                         read-only snapshot transactions).
 //
 // Output is google-benchmark JSON in the same shape as the figure benches:
 // items_per_second = committed store operations/s; aborts_per_tx and
@@ -232,10 +226,9 @@ void ycsb_op(StoreT& store, bool feed_on, medley::util::Xoshiro256& rng,
   }
 }
 
-template <bool kFeed, bool kRO = false>
+template <bool kFeed>
 struct MedleyStoreAdapter {
   static const char* name() {
-    if constexpr (kRO) return "MedleyStore-ro";
     return kFeed ? "MedleyStore" : "MedleyStore-nofeed";
   }
   static constexpr std::uint64_t kInsertWrap = 0;  // DRAM: unbounded
@@ -246,7 +239,6 @@ struct MedleyStoreAdapter {
 
   void setup(const YcsbScale& sc) {
     ms::StoreConfig cfg{/*buckets=*/1u << 16, /*feed_enabled=*/kFeed};
-    cfg.read_only_reads = kRO;
     cfg.metrics = ycsb_metrics_on();
     store = std::make_unique<DramStoreU64>(&mgr, cfg);
     for (std::uint64_t k = 1; k <= sc.records; k++) store->put(k, k);
@@ -301,7 +293,7 @@ void emit_shard_counters(benchmark::State& state, const ShardedStore& store,
       agg_retries + static_cast<double>(cross.retries);
 }
 
-template <int kShards, bool kRO = false, bool kComb = false>
+template <int kShards, bool kComb = false>
 struct ShardedStoreAdapter {
   static const char* name() {
     if constexpr (kComb) {
@@ -309,13 +301,9 @@ struct ShardedStoreAdapter {
       if constexpr (kShards == 4) return "ShardedMedleyStore-4-comb";
       return "ShardedMedleyStore-8-comb";
     }
-    if constexpr (kShards == 1) {
-      return kRO ? "ShardedMedleyStore-1-ro" : "ShardedMedleyStore-1";
-    }
-    if constexpr (kShards == 4) {
-      return kRO ? "ShardedMedleyStore-4-ro" : "ShardedMedleyStore-4";
-    }
-    return kRO ? "ShardedMedleyStore-8-ro" : "ShardedMedleyStore-8";
+    if constexpr (kShards == 1) return "ShardedMedleyStore-1";
+    if constexpr (kShards == 4) return "ShardedMedleyStore-4";
+    return "ShardedMedleyStore-8";
   }
   static constexpr std::uint64_t kInsertWrap = 0;  // DRAM: unbounded
 
@@ -325,7 +313,6 @@ struct ShardedStoreAdapter {
 
   void setup(const YcsbScale& sc) {
     ms::StoreConfig cfg{/*buckets=*/1u << 16, /*feed_enabled=*/true};
-    cfg.read_only_reads = kRO;
     cfg.combining.enabled = kComb;  // default knobs: 64 slots, batch<=32
     cfg.metrics = ycsb_metrics_on();
     store = std::make_unique<Sharded>(kShards, cfg);
@@ -445,9 +432,9 @@ struct PersistentStoreAdapter {
 /// The read-path floor: Michael hash table probed with no transaction
 /// open — nbtcLoad's null-ctx fast path, no descriptor, no read logging,
 /// no validation. Not a store (no secondary index, no feed); it exists
-/// purely as the denominator for the read-only mode's "within ~2x of a
-/// raw lookup" acceptance bar, so it registers only for mixes B/C and
-/// maps B's 5% put straight onto the table.
+/// purely as the denominator for the store read path's "within ~2x of a
+/// raw lookup" bar, so it registers only for mixes B/C and maps B's 5%
+/// put straight onto the table.
 struct RawHashAdapter {
   static const char* name() { return "RawHash"; }
   static constexpr std::uint64_t kInsertWrap = 0;
@@ -568,21 +555,16 @@ int main(int argc, char** argv) {
   register_ycsb<RangeShardedStoreAdapter<4>>();
   register_ycsb<RangeShardedStoreAdapter<8>>();
   register_ycsb<PersistentStoreAdapter>();
-  // Read-path ablation (BENCH_ycsb_readonly.json): snapshot-read stores
-  // vs their full-tx twins above, plus the untracked floor. B/C only.
-  register_ycsb<MedleyStoreAdapter<true, true>>("BC");
-  register_ycsb<ShardedStoreAdapter<1, true>>("BC");
-  register_ycsb<ShardedStoreAdapter<4, true>>("BC");
-  register_ycsb<ShardedStoreAdapter<8, true>>("BC");
+  // The untracked read floor beside the store rows above. B/C only.
   register_ycsb<RawHashAdapter>("BC");
   // Group-commit ablation (BENCH_ycsb_combining.json): flat-combining
   // batch layer on vs eager one-tx-per-op twins above. A/B only — the
   // combiner batches mutations, so read-dominated C gains nothing, and
   // the 1-shard / 1-thread rows are the honest-cost floor (every batch
   // is size 1: pure publication + lock overhead).
-  register_ycsb<ShardedStoreAdapter<1, false, true>>("AB");
-  register_ycsb<ShardedStoreAdapter<4, false, true>>("AB");
-  register_ycsb<ShardedStoreAdapter<8, false, true>>("AB");
+  register_ycsb<ShardedStoreAdapter<1, true>>("AB");
+  register_ycsb<ShardedStoreAdapter<4, true>>("AB");
+  register_ycsb<ShardedStoreAdapter<8, true>>("AB");
   register_ycsb<RangeShardedStoreAdapter<4, true>>("AB");
   benchmark::Initialize(&argc, argv);
   benchmark::RunSpecifiedBenchmarks();

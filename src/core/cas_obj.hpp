@@ -25,6 +25,7 @@
 #include "core/tx_domain.hpp"
 #include "core/tx_manager.hpp"
 #include "obs/trace.hpp"
+#include "util/backoff.hpp"
 
 namespace medley::core {
 
@@ -173,12 +174,20 @@ class CASObj {
 
   // ---- plain (descriptor-aware) accessors ------------------------------
 
+  /// Pauses a plain load waits for a descriptor to leave the cell before
+  /// finalizing it: the owner is usually about to commit, and finalizing
+  /// it while it prepares aborts it (most of a contended put's retries).
+  static constexpr int kLoadGraceSpins = 32;
+
   /// Linearizable load that never observes a speculative state.
   T load() {
     for (;;) {
       util::U128 u = cell_.vc.load();
       if (!CASCell::holds_desc(u)) return decode(u.lo);
-      CASCell::desc_of(u)->try_finalize(&cell_, u);
+      for (int i = 0; i < kLoadGraceSpins && cell_.vc.load() == u; i++) {
+        util::cpu_relax();
+      }
+      CASCell::desc_of(u)->try_finalize(&cell_, u);  // no-op once it left
     }
   }
 

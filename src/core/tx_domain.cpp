@@ -214,17 +214,11 @@ void TxDomain::begin_ro(TxManager* root) {
 
 bool TxDomain::ro_log_valid(ThreadCtx* c) {
   for (const ThreadCtx::RORead& r : c->ro_reads) {
-    util::U128 u = r.cell->vc.load();
-    if (CASCell::holds_desc(u)) {
-      // A writer is mid-install on a logged cell: resolve it once and
-      // re-read. If the writer committed a change, the counter moved and
-      // the recheck fails; if it aborted, the uninstall restored the value
-      // but still bumped the counter — conservatively torn, exactly like
-      // a full transaction's validate_reads.
-      CASCell::desc_of(u)->try_finalize(r.cell, u);
-      u = r.cell->vc.load();
-    }
-    if (CASCell::holds_desc(u) || u.lo != r.lo || u.hi != r.hi) return false;
+    // A descriptor on a logged cell was installed after the load (it bumped
+    // the counter): torn whatever the writer's fate, so fail without
+    // finalizing it — that would abort a still-preparing writer for nothing.
+    const util::U128 u = r.cell->vc.load();
+    if (u.lo != r.lo || u.hi != r.hi) return false;
   }
   return true;
 }

@@ -225,16 +225,6 @@ struct TxPolicy {
   bool retry_capacity = true;
   bool retry_user = false;
 
-  /// Declare bodies read-only: execute() then runs one validation-free
-  /// snapshot attempt first (execute_ro — no descriptor publication, no
-  /// read-set tracking, one validation at the end) and falls back
-  /// transparently to full transactions when the snapshot is torn or the
-  /// body turns out to write. Meant for dedicated read executors (the
-  /// stores build one from StoreConfig::read_only_reads); a store-wide
-  /// policy with this flag would pay a wasted snapshot attempt on every
-  /// mutation.
-  bool read_only = false;
-
   /// Pacing/priority hooks; null = NoOpCM (immediate retry).
   std::shared_ptr<ContentionManager> cm;
 
@@ -323,8 +313,8 @@ struct TxResult<void> {
   explicit operator bool() const { return committed(); }
 };
 
-/// One-shot future for a submitted transaction (TxExecutor::submit and the
-/// stores' async_put/async_del). Deliberately lighter than std::future: no
+/// One-shot future for a submitted store mutation (the stores'
+/// async_put/async_del). Deliberately lighter than std::future: no
 /// shared state allocation beyond the one std::function, no
 /// condition_variable — progress is made by the CALLER's thread driving
 /// `step_` (poll on ready(), drive-to-completion on get()), which is the
@@ -467,13 +457,11 @@ class TxExecutor {
   /// policy stops retrying. `body` may call mgr.txAbort() /
   /// txAbortCapacity(); TransactionAborted never escapes this call. A
   /// foreign exception thrown by `body` aborts the open attempt and
-  /// propagates (the transaction is closed, CM notified). A policy with
-  /// read_only set routes through execute_ro (snapshot attempt first).
+  /// propagates (the transaction is closed, CM notified).
   template <typename F>
   auto execute(core::TxManager& mgr, F&& body)
       -> TxResult<std::decay_t<std::invoke_result_t<F&>>> {
     using R = std::decay_t<std::invoke_result_t<F&>>;
-    if (policy_.read_only) return execute_ro(mgr, std::forward<F>(body));
     const bool sampled = obs_sampled();
     const std::uint64_t t0 =
         sampled && policy_.latency_hist ? util::tsc_now() : 0;
@@ -575,30 +563,6 @@ class TxExecutor {
     if constexpr (!std::is_void_v<R>) res.value = std::move(full.value);
     note_resolved(sampled, t0, res.stats);
     return res;
-  }
-
-  /// Submit `body` for execution, returning a future for its TxResult so
-  /// the caller can pipeline. On a bare executor the future is LAZY: the
-  /// transaction runs on the first ready()/get() call, on the resolving
-  /// thread (there is no combiner here to run it concurrently — the stores'
-  /// async_put/async_del layer this same future over their FlatCombiner,
-  /// where a submitted op genuinely progresses while the caller works).
-  /// The executor and `mgr` must outlive the future; resolve it outside
-  /// any open transaction.
-  template <typename F>
-  auto submit(core::TxManager& mgr, F body)
-      -> TxFuture<TxResult<std::decay_t<std::invoke_result_t<F&>>>> {
-    using R = std::decay_t<std::invoke_result_t<F&>>;
-    using Fut = TxFuture<TxResult<R>>;
-    return Fut([this, &mgr, body = std::move(body)](Fut& self,
-                                                    bool) mutable {
-      try {
-        self.set_value(this->execute(mgr, body));
-      } catch (...) {
-        self.set_error(std::current_exception());
-      }
-      return true;
-    });
   }
 
  private:

@@ -77,7 +77,8 @@ enum class Status : std::uint8_t {
   kOk = 0,
   kNotFound = 1,   // GET/DEL of an absent key (body empty)
   kMalformed = 2,  // body did not parse; this frame is dropped, stream lives
-  kTooBig = 3,     // frame or MULTI_PUT over the cap; server closes after
+  kTooBig = 3,     // frame or MULTI_PUT over the cap (server closes
+                   // after); RANGE/SCAN reply over it (stream lives)
   kAborted = 4,    // the transaction could not commit (bounded policy)
   kBadVerb = 5,    // unknown verb byte
   kShutdown = 6,   // server draining; op was NOT applied
@@ -386,6 +387,12 @@ inline void encode_value(std::vector<std::uint8_t>& out, Verb v,
   put_u8(out, val ? 1 : 0);
   if (val) put_u64(out, *val);
   detail::end_response(out, at);
+}
+
+/// Most RANGE/SCAN rows a reply frame of `max_frame` bytes can carry
+/// (verb, id, status and a u32 row count, then 16 bytes per row).
+inline constexpr std::size_t max_reply_pairs(std::size_t max_frame) {
+  return max_frame < 10 ? 0 : (max_frame - 10) / 16;
 }
 
 inline void encode_pairs(std::vector<std::uint8_t>& out, Verb v,

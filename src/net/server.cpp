@@ -14,6 +14,7 @@
 #include <sys/uio.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <cerrno>
 #include <cstring>
 #include <system_error>
@@ -291,11 +292,29 @@ void Server::worker_main(Worker& w) {
           encode_value(c.out, rq.verb, rq.id, store_->rmw_add(rq.a, rq.b));
           break;
         case Verb::kRange:
-          encode_pairs(c.out, rq.verb, rq.id, store_->range(rq.a, rq.b));
+        case Verb::kScan: {
+          // A reply must fit one frame: fetch at most cap + 1 rows, so an
+          // oversize answer is bounded work, a typed error, and keeps the
+          // connection. A RANGE wider than cap keys is a scan cut at hi.
+          const std::size_t cap = max_reply_pairs(cfg_.max_frame);
+          std::vector<std::pair<Key, Val>> kvs;
+          if (rq.verb == Verb::kScan) {
+            kvs = store_->scan(rq.a, std::min<std::size_t>(rq.limit, cap + 1));
+          } else if (rq.b < rq.a || rq.b - rq.a < cap) {
+            kvs = store_->range(rq.a, rq.b);
+          } else {
+            kvs = store_->scan(rq.a, cap + 1);
+            std::erase_if(kvs,
+                          [&](const auto& kv) { return kv.first > rq.b; });
+          }
+          if (kvs.size() > cap) {
+            encode_status(c.out, rq.verb, rq.id, Status::kTooBig);
+            note_err(static_cast<int>(Status::kTooBig));
+          } else {
+            encode_pairs(c.out, rq.verb, rq.id, kvs);
+          }
           break;
-        case Verb::kScan:
-          encode_pairs(c.out, rq.verb, rq.id, store_->scan(rq.a, rq.limit));
-          break;
+        }
         case Verb::kMultiPut: {
           std::vector<std::pair<Key, Val>> kvs;
           kvs.reserve(rq.npairs);

@@ -7,6 +7,20 @@ EBR& EBR::instance() {
   return ebr;
 }
 
+EBR::EBR() {
+  // An exiting thread orphans its limbo before its id is released.
+  util::ThreadRegistry::on_release(
+      [](int tid) { instance().orphan(instance().slots_[tid]->limbo); });
+}
+
+void EBR::orphan(std::vector<LimboItem>& bag) {
+  if (bag.empty()) return;
+  std::lock_guard<std::mutex> lk(orphan_mu_);
+  orphans_.insert(orphans_.end(), bag.begin(), bag.end());
+  orphan_count_.store(orphans_.size(), std::memory_order_relaxed);
+  bag.clear();
+}
+
 EBR::ThreadSlot& EBR::my_slot() {
   return *slots_[util::ThreadRegistry::tid()];
 }
@@ -56,9 +70,8 @@ bool EBR::try_advance() {
   return true;  // someone advanced (us or a peer)
 }
 
-void EBR::sweep(ThreadSlot& slot) {
+void EBR::sweep(std::vector<LimboItem>& limbo) {
   const std::uint64_t cur = global_epoch_.load(std::memory_order_acquire);
-  auto& limbo = slot.limbo;
   std::size_t kept = 0;
   for (std::size_t i = 0; i < limbo.size(); i++) {
     if (limbo[i].epoch + 2 <= cur) {
@@ -70,15 +83,32 @@ void EBR::sweep(ThreadSlot& slot) {
   limbo.resize(kept);
 }
 
+void EBR::sweep_orphans() {
+  if (orphan_count_.load(std::memory_order_relaxed) == 0) return;
+  std::vector<LimboItem> bag;
+  {
+    std::unique_lock<std::mutex> lk(orphan_mu_, std::try_to_lock);
+    if (!lk.owns_lock()) return;  // a peer is sweeping them now
+    bag.swap(orphans_);
+    orphan_count_.store(0, std::memory_order_relaxed);
+  }
+  sweep(bag);  // outside the lock: a deleter may retire in turn
+  orphan(bag);
+}
+
 void EBR::collect() {
   try_advance();
-  sweep(my_slot());
+  sweep(my_slot().limbo);
+  sweep_orphans();
 }
 
 void EBR::drain() {
   // Two successful advances guarantee everything currently in limbo ages out
   // (provided no other thread is pinned, which is the caller's contract).
-  for (int i = 0; i < 4 && !my_slot().limbo.empty(); i++) collect();
+  for (int i = 0; i < 4 && (!my_slot().limbo.empty() || orphan_count_ != 0);
+       i++) {
+    collect();
+  }
 }
 
 std::size_t EBR::limbo_size() const {

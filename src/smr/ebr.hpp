@@ -16,9 +16,12 @@
 // therefore holds one Guard across the whole transaction; per-operation
 // guards (OpStarter) simply nest inside it. This is what makes a descriptor
 // that has been force-aborted by a peer still safe to uninstall lazily.
+// A thread that exits with blocks in limbo hands them to a shared orphan
+// list before its id is released, and every collect() sweeps that list.
 
 #include <atomic>
 #include <cstdint>
+#include <mutex>
 #include <vector>
 
 #include "util/align.hpp"
@@ -53,12 +56,12 @@ class EBR {
            [](void* q) { delete static_cast<T*>(q); });
   }
 
-  /// Try to advance the epoch and free everything old enough. Called
-  /// automatically every kCollectPeriod retires; tests call it directly.
+  /// Try to advance the epoch and free everything old enough (own limbo and
+  /// orphans). Called every kCollectPeriod retires; tests call it directly.
   void collect();
 
-  /// Drain: advance repeatedly until the calling thread's limbo list is
-  /// empty (requires no other thread pinned). Test/teardown helper.
+  /// Drain: advance until the calling thread's limbo and the orphan list
+  /// are empty (requires no other thread pinned). Test/teardown helper.
   void drain();
 
   std::uint64_t epoch() const {
@@ -68,7 +71,7 @@ class EBR {
   std::size_t limbo_size() const;
 
  private:
-  EBR() = default;
+  EBR();
 
   struct LimboItem {
     void* ptr;
@@ -86,12 +89,18 @@ class EBR {
   void enter();
   void exit();
   bool try_advance();
-  void sweep(ThreadSlot& slot);
+  void sweep(std::vector<LimboItem>& limbo);
+  void sweep_orphans();
+  void orphan(std::vector<LimboItem>& bag);  // move (and empty) onto orphans_
 
   ThreadSlot& my_slot();
 
   std::atomic<std::uint64_t> global_epoch_{2};  // start >0 so epoch-2 is valid
   util::Padded<ThreadSlot> slots_[util::ThreadRegistry::kMaxThreads];
+
+  std::mutex orphan_mu_;            // guards orphans_
+  std::vector<LimboItem> orphans_;  // limbo of exited threads
+  std::atomic<std::size_t> orphan_count_{0};  // orphans_.size(), lock-free
 
   friend class Guard;
 };

@@ -29,7 +29,8 @@
 // transaction of the same manager flat-nests into it (its effects commit
 // or abort with the enclosing transaction). Top-level calls run under the
 // store's TxExecutor (policy = StoreConfig::tx_policy) and record a
-// TxStats into the StoreStats block; feed
+// TxStats into the StoreStats block; top-level reads (get/contains/range/
+// scan) run as read-only snapshots (TxExecutor::execute_ro). Feed
 // push/poll accounting rides the transaction's cleanup list instead, so
 // it is exact in BOTH modes — counted once at commit (including an
 // enclosing transaction's commit), discarded with an aborted attempt.
@@ -97,16 +98,6 @@ struct StoreConfig {
   /// historical run_tx behavior. A store with a bounded policy surfaces
   /// budget exhaustion by rethrowing the terminal TransactionAborted.
   TxPolicy tx_policy{};
-
-  /// Serve top-level get/contains/range/scan as READ-ONLY transactions
-  /// (TxExecutor::execute_ro): no descriptor publication, no read-set
-  /// tracking, one validation at the end, with a transparent full-
-  /// transaction fallback on a torn snapshot. Off by default — the full
-  /// path is the historical behavior and the fallback's extra attempt
-  /// shows up in stats; read-dominated deployments (YCSB B/C/D) turn it
-  /// on. Ambient transactions are unaffected: a store op inside an open
-  /// transaction always flat-nests into it, whatever its mode.
-  bool read_only_reads = false;
 
   /// Flat-combining group commit (core/combiner.hpp): top-level put/del/
   /// read_modify_write publish into per-store publication slots and a
@@ -219,7 +210,6 @@ class BasicMedleyStore : public core::Composable {
         primary_(primary),
         secondary_(secondary),
         cfg_(validated(cfg)),
-        exec_(cfg.tx_policy),
         feed_(mgr) {
     init_observability();
     if (cfg_.combining.enabled) {
@@ -501,32 +491,23 @@ class BasicMedleyStore : public core::Composable {
       body();
       return;
     }
-    auto res = instrumented_ ? op_exec_[op].execute(*mgr, body)
-                             : exec_.execute(*mgr, body);
-    if (registry_) note_result(op, res);
-    stats_.record(res.stats);
-    rethrow_failed_non_user(res);
+    settle(op, op_exec_[op].execute(*mgr, body));
   }
 
-  /// exec() for bodies declared read-only (get/contains/range/scan): with
-  /// StoreConfig::read_only_reads set, a top-level call takes the
-  /// executor's validation-free snapshot path (execute_ro) and falls back
-  /// transparently to a full transaction on a torn snapshot; with the
-  /// knob off it is exactly exec(). An ambient transaction flat-nests
-  /// either way — the enclosing transaction's mode governs, and under an
-  /// enclosing READ-ONLY transaction the body's reads join its log.
+  /// exec() for read-only bodies: a top-level call is a snapshot
+  /// (execute_ro, full-transaction fallback on a torn one); an ambient
+  /// transaction of either mode flat-nests the body into itself.
   template <typename Body>
   void exec_ro(OpType op, Body&& body) {
     if (mgr->in_tx()) {
       body();
       return;
     }
-    if (!cfg_.read_only_reads) {
-      exec(op, std::forward<Body>(body));
-      return;
-    }
-    auto res = instrumented_ ? op_exec_[op].execute_ro(*mgr, body)
-                             : exec_.execute_ro(*mgr, body);
+    settle(op, op_exec_[op].execute_ro(*mgr, body));
+  }
+
+  /// Bill one resolved top-level execute and enforce the store contract.
+  void settle(OpType op, const TxResult<void>& res) {
     if (registry_) note_result(op, res);
     stats_.record(res.stats);
     rethrow_failed_non_user(res);
@@ -599,8 +580,7 @@ class BasicMedleyStore : public core::Composable {
     auto body = [&] {
       for (CombSlot* s : batch) apply_comb_op(s->op);
     };
-    auto res = instrumented_ ? op_exec_[kOpCombine].execute(*mgr, body)
-                             : exec_.execute(*mgr, body);
+    auto res = op_exec_[kOpCombine].execute(*mgr, body);
     TxStats s = res.stats;
     s.commits = 0;  // each waiter bills its own logical commit
     stats_.record(s);
@@ -771,9 +751,9 @@ class BasicMedleyStore : public core::Composable {
 
   /// Build the metrics / tracing plumbing from cfg_. Registration is the
   /// cold path: instruments resolve to raw pointers ONCE here; the hot
-  /// path then only bumps per-thread slots. Per-op TxExecutors carry the
-  /// per-op-type latency/attempts histograms (and the trace ring) in their
-  /// policies, so instrumented and plain execution share one code path.
+  /// path then only bumps per-thread slots. Each op type's TxExecutor
+  /// carries its instruments (if any) in its policy, so instrumented and
+  /// plain execution share one code path.
   void init_observability() {
     if (cfg_.trace_capacity > 0) {
       trace_ring_ = cfg_.trace_ring
@@ -786,9 +766,6 @@ class BasicMedleyStore : public core::Composable {
                       : std::make_shared<obs::MetricsRegistry>();
       util::tsc_ns_per_tick();  // calibrate now, not on the first op
     }
-    instrumented_ = registry_ != nullptr || trace_ring_ != nullptr;
-    if (!instrumented_) return;
-
     auto labeled = [&](const char* k, const char* v) {
       obs::Labels l = cfg_.metric_labels;
       l.emplace_back(k, v);
@@ -797,8 +774,8 @@ class BasicMedleyStore : public core::Composable {
     for (int op = 0; op < kOpTypeCount; op++) {
       TxPolicy p = cfg_.tx_policy;
       p.trace = trace_ring_.get();
-      p.obs_sample_shift = cfg_.metrics_sample_shift;
       if (registry_) {
+        p.obs_sample_shift = cfg_.metrics_sample_shift;
         op_counters_[op] = &registry_->counter(
             "medley_store_ops_total", "Completed top-level store operations",
             labeled("op", op_name(op)));
@@ -890,7 +867,6 @@ class BasicMedleyStore : public core::Composable {
   Primary* primary_;
   Secondary* secondary_;
   StoreConfig cfg_;
-  TxExecutor exec_;
   ds::MSQueue<FeedItem> feed_;
   StoreStats stats_;
   std::atomic<std::uint64_t> owned_feed_seq_{0};
@@ -901,7 +877,6 @@ class BasicMedleyStore : public core::Composable {
   // (and ring) alive via shared_ptr.
   std::shared_ptr<obs::MetricsRegistry> registry_;
   std::shared_ptr<obs::TraceRing> trace_ring_;
-  bool instrumented_ = false;
   TxExecutor op_exec_[kOpTypeCount];
   obs::Counter* op_counters_[kOpTypeCount] = {};
   obs::Counter* abort_counters_[4] = {};

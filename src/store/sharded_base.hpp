@@ -116,7 +116,7 @@ class ShardedStoreBase {
       shards_[*only].store->multi_put(kvs);
       return;
     }
-    cross_exec([&] {
+    transact([&] {
       for (const auto& [k, v] : kvs) home(k).put(k, v);
     });
   }
@@ -129,7 +129,7 @@ class ShardedStoreBase {
   template <typename F>
   void read_modify_write_many(const std::vector<K>& keys, F&& f) {
     if (keys.empty()) return;
-    cross_exec([&] {
+    transact([&] {
       for (const K& k : keys) {
         Shard& s = home(k);
         std::optional<V> cur = s.get(k);
@@ -190,7 +190,7 @@ class ShardedStoreBase {
     // Per-call scratch, reused across calls (sized by shard count).
     thread_local std::vector<std::optional<FeedItem>> heads;
     thread_local std::vector<std::size_t> polled;
-    cross_exec([&] {
+    transact([&] {
       out.clear();
       heads.assign(n, std::nullopt);
       polled.assign(n, 0);
@@ -440,30 +440,17 @@ class ShardedStoreBase {
   /// (store-level accounting lands in cross_stats_ regardless).
   core::TxManager* root_mgr() { return shards_[0].mgr.get(); }
 
-  /// One transaction spanning shards — exactly transact()'s choreography
-  /// (flat-nest, or the cross-shard executor rooted at shard 0 with the
-  /// outcome recorded into cross_stats_).
-  template <typename Body>
-  void cross_exec(Body&& body) {
-    (void)transact(std::forward<Body>(body));
-  }
-
-  /// cross_exec() for bodies declared read-only (merged range/scan): with
-  /// StoreConfig::read_only_reads set, the cross-shard transaction takes
-  /// the executor's validation-free snapshot path (execute_ro, rooted at
-  /// shard 0 like every cross-shard transaction) with the transparent
-  /// full-transaction fallback; with the knob off it is exactly
-  /// cross_exec(). Each shard store's ops flat-nest into the ambient
-  /// snapshot, so their reads join one log validated once — the merged
-  /// result is one consistent snapshot across all shards.
+  /// transact() for bodies declared read-only (merged range/scan): the
+  /// cross-shard transaction takes the executor's snapshot path
+  /// (execute_ro, rooted at shard 0 like every cross-shard transaction)
+  /// with the transparent full-transaction fallback. Each shard store's
+  /// ops flat-nest into the ambient snapshot, so their reads join one log
+  /// validated once — the merged result is one consistent snapshot across
+  /// all shards.
   template <typename Body>
   void cross_exec_ro(Body&& body) {
     if (domain_->in_tx()) {  // flat-nest into an ambient transaction
       body();
-      return;
-    }
-    if (!cfg_.read_only_reads) {
-      cross_exec(std::forward<Body>(body));
       return;
     }
     auto res = cross_exec_.execute_ro(*root_mgr(), std::forward<Body>(body));

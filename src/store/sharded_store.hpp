@@ -79,8 +79,8 @@ class ShardedMedleyStore
 
   /// Atomic ordered snapshot of all entries with lo <= key <= hi across
   /// every shard: one transaction collects each shard's window, then a
-  /// k-way merge of the sorted runs yields global order. Read-set capacity
-  /// bounds the total window size (~4K links), same as one shard.
+  /// k-way merge of the sorted runs yields global order (one read-only
+  /// snapshot across the shards; see cross_exec_ro).
   std::vector<std::pair<K, V>> range(const K& lo, const K& hi) {
     if (shards_.size() == 1) return shards_[0].store->range(lo, hi);
     std::vector<std::vector<std::pair<K, V>>> runs(shards_.size());

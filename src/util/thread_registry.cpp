@@ -10,6 +10,13 @@ namespace {
 
 std::atomic<bool> g_used[ThreadRegistry::kMaxThreads];
 std::atomic<int> g_high_water{0};
+std::atomic<void (*)(int)> g_release_hook{nullptr};
+
+/// Return `id` to the pool after running the hook on its owning thread.
+void release(int id) {
+  if (auto* hook = g_release_hook.load(std::memory_order_acquire)) hook(id);
+  g_used[id].store(false, std::memory_order_release);
+}
 
 int acquire_slot() {
   for (;;) {
@@ -48,7 +55,7 @@ constexpr int kDead = -2;
 struct Lease {
   int id = -1;
   ~Lease() {
-    if (id >= 0) g_used[id].store(false, std::memory_order_release);
+    if (id >= 0) release(id);
     id = kDead;
   }
 };
@@ -81,9 +88,13 @@ int ThreadRegistry::max_tid() {
 
 void ThreadRegistry::release_current() {
   if (t_lease.id >= 0) {
-    g_used[t_lease.id].store(false, std::memory_order_release);
+    release(t_lease.id);
     t_lease.id = -1;
   }
+}
+
+void ThreadRegistry::on_release(void (*hook)(int id)) {
+  g_release_hook.store(hook, std::memory_order_release);
 }
 
 }  // namespace medley::util

@@ -26,6 +26,11 @@ class ThreadRegistry {
   /// Test hook: release the calling thread's id immediately (normally done
   /// by a thread_local destructor at thread exit).
   static void release_current();
+
+  /// Run `hook(id)` on a thread giving up its id (exit or release_current()),
+  /// before the id returns to the pool, so per-id state can be handed off.
+  /// There is one hook (EBR's); setting it replaces it.
+  static void on_release(void (*hook)(int id));
 };
 
 }  // namespace medley::util

@@ -545,26 +545,7 @@ TEST(Combining, StatsBillNCombinedOpsAsNLogicalOps) {
 
 // ---- C6: async futures ----------------------------------------------------
 
-TEST(Combining, ExecutorSubmitIsDeferredAndPropagatesErrors) {
-  TxManager mgr;
-  TxExecutor ex;
-  std::atomic<int> runs{0};
-
-  auto fut = ex.submit(mgr, [&] {
-    runs.fetch_add(1);
-    return 42;
-  });
-  EXPECT_EQ(runs.load(), 0) << "bare-executor submit is lazy";
-  auto res = fut.get();
-  EXPECT_EQ(runs.load(), 1);
-  ASSERT_TRUE(res.committed());
-  EXPECT_EQ(res.value, std::optional<int>(42));
-
-  auto bad = ex.submit(mgr, [&]() -> int {
-    throw std::runtime_error("body failed");
-  });
-  EXPECT_THROW(bad.get(), std::runtime_error);
-
+TEST(Combining, EmptyFutureIsInvalid) {
   medley::TxFuture<int> empty;
   EXPECT_FALSE(empty.valid());
   EXPECT_THROW(empty.get(), std::logic_error);

@@ -274,7 +274,8 @@ struct LiveServer {
   std::unique_ptr<net::StoreAdapter<Store>> adapter;
   std::unique_ptr<net::Server> server;
 
-  explicit LiveServer(std::size_t workers = 1, bool combining = true) {
+  explicit LiveServer(std::size_t workers = 1, bool combining = true,
+                      std::size_t max_frame = net::kDefaultMaxFrame) {
     registry = std::make_shared<medley::obs::MetricsRegistry>();
     StoreConfig cfg;
     cfg.buckets = 1u << 10;
@@ -285,6 +286,7 @@ struct LiveServer {
     adapter = std::make_unique<net::StoreAdapter<Store>>(store.get());
     net::NetConfig ncfg;
     ncfg.workers = workers;
+    ncfg.max_frame = max_frame;
     ncfg.registry = registry;
     server = std::make_unique<net::Server>(adapter.get(), ncfg);
     server->start();
@@ -452,6 +454,52 @@ TEST(NetServer, MalformedFrameGetsTypedErrorAndStreamSurvives) {
   EXPECT_EQ(got[2].status, Status::kOk);
   EXPECT_EQ(got[2].val, std::optional<std::uint64_t>(50))
       << "the stream keeps serving after a per-frame rejection";
+}
+
+TEST(NetServer, OversizeReplyGetsTypedErrorAndStreamSurvives) {
+  // A 1 KiB frame cap: one RANGE/SCAN reply carries at most `cap` rows.
+  constexpr std::size_t kMaxFrame = 1024;
+  const std::size_t cap = net::max_reply_pairs(kMaxFrame);
+  ASSERT_GT(cap, 8u);
+  LiveServer ls(/*workers=*/1, /*combining=*/true, kMaxFrame);
+  const std::uint64_t nkeys = 3 * cap;
+  for (std::uint64_t k = 0; k < nkeys; k++) ls.store->put(k, k + 1);
+  net::Client c = ls.connect();
+
+  auto status_of = [](auto&& call) {
+    try {
+      call();
+    } catch (const net::RequestError& e) {
+      return e.status();
+    }
+    return Status::kOk;
+  };
+  EXPECT_EQ(status_of([&] { c.range(0, ~std::uint64_t{0}); }),
+            Status::kTooBig);
+  // Same connection: the request stream is still in sync.
+  EXPECT_EQ(c.get(7), std::optional<std::uint64_t>(8));
+  EXPECT_EQ(status_of([&] { c.scan(0, static_cast<std::uint32_t>(nkeys)); }),
+            Status::kTooBig);
+  EXPECT_EQ(c.get(9), std::optional<std::uint64_t>(10));
+
+  // Replies that fit are served whole: a window of exactly `cap` keys, a
+  // wide window cut short by the key space, and a scan of `cap` rows.
+  EXPECT_EQ(c.range(0, cap - 1).size(), cap);
+  auto tail = c.range(nkeys - 5, ~std::uint64_t{0});
+  ASSERT_EQ(tail.size(), 5u);
+  EXPECT_EQ(tail.front(), (std::pair<std::uint64_t, std::uint64_t>(
+                              nkeys - 5, nkeys - 4)));
+  // A wide window over sparse keys, with more keys past its end: the
+  // server's capped scan reads beyond hi and must cut the rows there.
+  constexpr std::uint64_t kSparse = 1u << 20;
+  for (std::uint64_t i = 0; i < 2 * cap; i++) {
+    ls.store->put(kSparse + 4 * i, i);
+  }
+  auto cut = c.range(kSparse, kSparse + 2 * cap);
+  ASSERT_EQ(cut.size(), cap / 2 + 1);
+  EXPECT_EQ(cut.back().first, kSparse + 4 * (cap / 2));
+  EXPECT_EQ(c.scan(0, static_cast<std::uint32_t>(cap)).size(), cap);
+  EXPECT_TRUE(c.range(5, 4).empty());
 }
 
 // ---- N4: graceful-shutdown drain -------------------------------------------

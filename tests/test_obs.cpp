@@ -468,12 +468,11 @@ TEST(StoreObs, MetricsOffByDefaultAndRoFallbackCounted) {
   EXPECT_TRUE(plain.metrics_registry() == nullptr);
   EXPECT_TRUE(plain.trace_ring() == nullptr);
 
-  // Read-only mode + metrics: a get on a quiescent store commits on the
-  // snapshot path; no write fallback is billed.
+  // Metrics on: a get on a quiescent store commits on the snapshot path;
+  // no write fallback is billed.
   TxManager mgr2;
   ms::StoreConfig cfg{/*buckets=*/1u << 8, /*feed_enabled=*/false};
   cfg.metrics = true;
-  cfg.read_only_reads = true;
   ms::MedleyStore<std::uint64_t, std::uint64_t> store(&mgr2, cfg);
   store.put(7, 70);
   EXPECT_EQ(store.get(7), std::optional<std::uint64_t>(70));

@@ -1,6 +1,6 @@
 // Read-only transaction mode (tx_domain.hpp begin_ro/end_ro,
-// TxExecutor::execute_ro, StoreConfig::read_only_reads). Invariants under
-// test:
+// TxExecutor::execute_ro — the path every top-level store read takes).
+// Invariants under test:
 //   R1  a read-only transaction never publishes the thread descriptor:
 //       committed snapshot reads leave its status word untouched;
 //   R2  write-in-read-only falls back transparently to a full transaction
@@ -8,7 +8,8 @@
 //       retries — a mis-declared body is a mode switch, not contention);
 //   R3  a torn snapshot aborts once under Validation, and the fallback's
 //       full transaction commits: one validation abort + one retry + one
-//       commit, at both the TxStats and the TxManager level;
+//       commit, at both the TxStats and the TxManager level; validation
+//       never aborts a writer still installing on a logged cell;
 //   R4  the policy still governs the fallback: a bounded budget or a
 //       non-retried reason is terminal, with no hidden extra attempts;
 //   R5  under concurrent writers, read-only range/scan snapshots are never
@@ -54,10 +55,9 @@ using Store = MedleyStore<std::uint64_t, std::uint64_t>;
 
 namespace {
 
-StoreConfig ro_cfg(std::size_t buckets = 256) {
+StoreConfig small_cfg(std::size_t buckets = 256) {
   StoreConfig cfg;
   cfg.buckets = buckets;
-  cfg.read_only_reads = true;
   return cfg;
 }
 
@@ -65,7 +65,7 @@ StoreConfig ro_cfg(std::size_t buckets = 256) {
 
 TEST(ReadOnly, SnapshotReadsLeaveDescriptorUntouched) {
   TxManager mgr;
-  Store s(&mgr, ro_cfg());
+  Store s(&mgr, small_cfg());
   for (std::uint64_t k = 0; k < 16; k++) s.put(k, k * 10);
 
   const std::uint64_t status_before = mgr.my_desc()->status();
@@ -109,22 +109,6 @@ TEST(ReadOnly, ExecutorRunsReadOnlyBody) {
   EXPECT_EQ(res.stats.retries, 0u);
 }
 
-TEST(ReadOnly, PolicyFlagRoutesExecuteThroughSnapshotPath) {
-  TxManager mgr;
-  Map m(&mgr, 64);
-  m.put(7, 70);
-
-  TxPolicy p;
-  p.read_only = true;
-  TxExecutor ex(p);
-  const std::uint64_t status_before = mgr.my_desc()->status();
-  auto res = ex.execute(mgr, [&] { return m.get(7).value_or(0); });
-  ASSERT_TRUE(res.committed());
-  EXPECT_EQ(*res.value, 70u);
-  EXPECT_EQ(mgr.my_desc()->status(), status_before)
-      << "execute() with a read_only policy published a descriptor";
-}
-
 // ---- R2: write-in-read-only fallback --------------------------------------
 
 TEST(ReadOnly, WriteInReadOnlyFallsBackUnbilled) {
@@ -154,7 +138,7 @@ TEST(ReadOnly, WriteInReadOnlyFallsBackUnbilled) {
 
 TEST(ReadOnly, StoreWriteInsideAmbientReadOnlyFallsBack) {
   TxManager mgr;
-  Store s(&mgr, ro_cfg());
+  Store s(&mgr, small_cfg());
   s.put(1, 100);
   mgr.reset_stats();
 
@@ -292,6 +276,52 @@ TEST(ReadOnly, SchedulePinnedValidationFailureRetry) {
   EXPECT_EQ(st.commits, 1u);
 }
 
+TEST(ReadOnly, TornValidationLeavesPreparingWriterAlone) {
+  // t0 snapshots k; t1 opens a full transaction and installs its write on
+  // k's cell but has not committed. t0's txEndRO must fail validation
+  // without finalizing t1's descriptor — which would abort t1 — so t1's
+  // commit then succeeds. Deterministic interleaving.
+  TxManager mgr;
+  Map m(&mgr, 64);
+  m.put(1, 1);
+  TxManager wmgr(mgr.domain_ptr());
+
+  std::atomic<bool> torn{false}, writer_committed{false};
+  h::ScheduleDriver d;
+  d.add_thread({
+      [&] {
+        mgr.txBeginRO();
+        (void)m.get(1);
+      },
+      [&] {
+        try {
+          mgr.txEndRO();
+        } catch (const TransactionAborted& e) {
+          torn.store(e.reason() == AbortReason::Validation);
+        }
+      },
+  });
+  d.add_thread({
+      [&] {
+        wmgr.txBegin();
+        m.put(1, 2);
+      },
+      [&] {
+        try {
+          wmgr.txEnd();
+          writer_committed.store(true);
+        } catch (const TransactionAborted&) {
+        }
+      },
+  });
+  d.run({0, 1, 0, 1});
+
+  EXPECT_TRUE(torn.load()) << "txEndRO validated a cell a writer holds";
+  EXPECT_TRUE(writer_committed.load())
+      << "snapshot validation aborted a still-preparing writer";
+  EXPECT_EQ(m.get(1), std::optional<std::uint64_t>(2));
+}
+
 // ---- R4: the policy governs the fallback ----------------------------------
 
 TEST(ReadOnly, BoundedBudgetMakesTornSnapshotTerminal) {
@@ -367,7 +397,7 @@ TEST(ReadOnly, TornSnapshotNeverObservedUnderWriters) {
   constexpr int kIters = 300;
 
   TxManager mgr;
-  Store s(&mgr, ro_cfg(512));
+  Store s(&mgr, small_cfg(512));
   for (std::uint64_t i = 0; i < kPairs; i++) {
     s.multi_put({{2 * i, kSum / 2}, {2 * i + 1, kSum - kSum / 2}});
   }
@@ -460,7 +490,7 @@ void merged_snapshot_conservation(Sharded& s, std::uint64_t nkeys) {
 }
 
 TEST(ReadOnly, ShardedMergedRangeSnapshotConsistent) {
-  ShardedMedleyStore<std::uint64_t, std::uint64_t> s(4, ro_cfg(512));
+  ShardedMedleyStore<std::uint64_t, std::uint64_t> s(4, small_cfg(512));
   merged_snapshot_conservation(s, 24);
 }
 
@@ -468,7 +498,7 @@ TEST(ReadOnly, RangeShardedMergedRangeSnapshotConsistent) {
   RangeShardedMedleyStore<std::uint64_t, std::uint64_t> s(
       RangeShardedMedleyStore<std::uint64_t, std::uint64_t>::
           Partitioner::uniform(0, 24, 4),
-      ro_cfg(512));
+      small_cfg(512));
   merged_snapshot_conservation(s, 24);
 }
 

@@ -550,12 +550,12 @@ TEST(SkiplistPut, BarePutsRacingTransactionalScansSeeOnlySnapshots) {
       done.store(true);
       return;
     }
-    medley::TxPolicy policy;
-    policy.read_only = t == 2;
-    medley::TxExecutor ex(policy);
+    medley::TxExecutor ex;
     while (!done.load() || snapshots[t - 1].load() == 0) {
       std::vector<KV> snap;
-      if (!ex.execute(mgr, [&] { snap = s.scan(0, kN); }).committed()) {
+      auto body = [&] { snap = s.scan(0, kN); };
+      if (!(t == 2 ? ex.execute_ro(mgr, body) : ex.execute(mgr, body))
+               .committed()) {
         continue;
       }
       snapshots[t - 1].fetch_add(1);

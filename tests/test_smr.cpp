@@ -121,6 +121,22 @@ TEST(Ebr, ManyThreadsRetireConcurrently) {
   EXPECT_EQ(g_freed.load(), kThreads * kPerThread);
 }
 
+TEST(Ebr, ExitedThreadsLimboIsAdopted) {
+  // A thread retires blocks (fewer than kCollectPeriod, so it never
+  // collects) and exits without draining. Its bag must not wait for the
+  // next lease of its id: the main thread's drain() frees all of it.
+  auto& ebr = EBR::instance();
+  ebr.drain();
+  g_freed = 0;
+  constexpr int kBlocks = EBR::kCollectPeriod / 2;
+  std::thread([] {
+    for (int i = 0; i < kBlocks; i++) EBR::instance().retire(new Tracked);
+  }).join();
+  EXPECT_EQ(g_freed.load(), 0);
+  ebr.drain();
+  EXPECT_EQ(g_freed.load(), kBlocks);
+}
+
 TEST(Ebr, ReaderNeverSeesFreedMemory) {
   // Single-cell hand-off: writer publishes new nodes and retires old ones;
   // readers dereference under a guard. A use-after-free here would crash
