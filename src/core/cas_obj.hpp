@@ -91,6 +91,9 @@ class CASObj {
             c->trace->emit(obs::TraceEvent::kArbitrationYield);
           c->domain->abort(c, AbortReason::Conflict);
         }
+        // Same bounded grace as load(): the owner is usually about to
+        // commit, and a stalled one is still finalized after it.
+        grace(u);
         other->try_finalize(&cell_, u);
         TxDomain::self_abort_check(c);
         continue;
@@ -174,9 +177,10 @@ class CASObj {
 
   // ---- plain (descriptor-aware) accessors ------------------------------
 
-  /// Pauses a plain load waits for a descriptor to leave the cell before
-  /// finalizing it: the owner is usually about to commit, and finalizing
-  /// it while it prepares aborts it (most of a contended put's retries).
+  /// Pauses a load (plain, or in a full transaction) waits for a
+  /// descriptor to leave the cell before finalizing it: the owner is
+  /// usually about to commit, and finalizing it while it prepares aborts
+  /// it (most of a contended put's retries).
   static constexpr int kLoadGraceSpins = 32;
 
   /// Linearizable load that never observes a speculative state.
@@ -184,9 +188,7 @@ class CASObj {
     for (;;) {
       util::U128 u = cell_.vc.load();
       if (!CASCell::holds_desc(u)) return decode(u.lo);
-      for (int i = 0; i < kLoadGraceSpins && cell_.vc.load() == u; i++) {
-        util::cpu_relax();
-      }
+      grace(u);
       CASCell::desc_of(u)->try_finalize(&cell_, u);  // no-op once it left
     }
   }
@@ -255,6 +257,14 @@ class CASObj {
   }
 
  private:
+  /// Wait up to kLoadGraceSpins pauses for the descriptor seen in `u` to
+  /// leave the cell.
+  void grace(const util::U128& u) {
+    for (int i = 0; i < kLoadGraceSpins && cell_.vc.load() == u; i++) {
+      util::cpu_relax();
+    }
+  }
+
   CASCell cell_;
 };
 

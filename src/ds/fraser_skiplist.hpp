@@ -24,22 +24,49 @@
 //            stays the only registered evidence, which suffices because the
 //            value cell only changes together with a bump of that link.
 //
+// Hash index (kHashed = true; the SkipHash alias): every node is also
+// chained, Michael-style, into a hash bucket through one more link
+// (`hnext`, ordered by key within the bucket, marked on removal), so a
+// point operation reaches its node through the bucket instead of a
+// descent. A node is live iff its level-0 link is unmarked, and the bucket
+// link and level-0 link of a node change in the same transaction, so the
+// two views agree at every committed state:
+//   get/contains : a bucket probe; found — the node's level-0 link is
+//            registered and the value read after it, as above; absent —
+//            the bucket link that witnessed the gap is registered.
+//   put    : present key — a bucket probe, then the same two CASes as
+//            above: no descent and no allocation. Absent key — as insert.
+//   insert : links the bucket (pub), then descends and links level 0
+//            (lin), so the descriptor sits on the contended level-0 link
+//            only from there to commit.
+//   remove : marks the bucket link (pub), then the tower, then level 0
+//            (lin). Its cleanup searches the bucket and runs one full
+//            skiplist search, then retires the node.
+// Every mutation of the hashed form runs in a transaction (a bare call is
+// a one-op transaction), so no reader sees one list changed without the
+// other. range/scan walk level 0 exactly as in the plain form.
+//
 // Values: a word-sized trivially copyable V lives in the node's CASObj
 // value cell directly; any other V (std::string, ...) is held as a pointer
 // to an immutable heap box. An update installs a fresh box and retires the
 // replaced one through EBR at commit; a node frees its current box.
 //
-// Node layout: key, level, value cell, then the tower next[0..level) in the
-// same allocation, so a node costs one block.
+// Node layout: key, level, value cell, bucket link (hashed form only),
+// then the tower next[0..level) in the same allocation, so a node costs
+// one block.
 //
 // Retirement policy: only the remover retires a node, in its cleanup,
 // after one complete search(k) call has ensured the node is unlinked from
-// every level (helping searches unlink but never retire). This differs
-// from the single-level list, where the successful unlinker retires.
+// every level (helping searches unlink but never retire; in the hashed
+// form the same holds for bucket probes). This differs from the
+// single-level list, where the successful unlinker retires.
 
+#include <functional>
 #include <limits>
+#include <memory>
 #include <new>
 #include <optional>
+#include <set>
 #include <type_traits>
 #include <utility>
 #include <vector>
@@ -51,11 +78,18 @@
 
 namespace medley::ds {
 
-template <typename K, typename V, int kMaxLevel = 20>
+template <typename K, typename V, int kMaxLevel = 20, bool kHashed = false>
 class FraserSkiplist : public core::Composable {
  public:
-  explicit FraserSkiplist(core::TxManager* manager)
-      : Composable(manager), head_(Node::make(K{}, Word{}, kMaxLevel)) {}
+  /// `buckets` sizes the hash index of the hashed form (ignored otherwise).
+  explicit FraserSkiplist(core::TxManager* manager,
+                          std::size_t buckets = 1u << 16)
+      : Composable(manager), head_(Node::make(K{}, Word{}, kMaxLevel)) {
+    if constexpr (kHashed) {
+      nbuckets_ = buckets;
+      buckets_ = std::make_unique<Link[]>(buckets);
+    }
+  }
 
   ~FraserSkiplist() override {
     Node* n = head_;
@@ -68,36 +102,33 @@ class FraserSkiplist : public core::Composable {
 
   std::optional<V> get(const K& k) {
     OpStarter op(mgr);
-    Pos pos;
-    if (find(pos, k)) {
-      addToReadSet(&pos.succs[0]->next(0), pos.succ0_next);
-      return unbox(pos.succs[0]->val.nbtcLoad());
-    }
-    addToReadSet(&pos.preds[0]->next(0), pos.succs[0]);
-    return std::nullopt;
+    Node* n = lookup(k);
+    if (n == nullptr) return std::nullopt;
+    return unbox(n->val.nbtcLoad());
   }
 
   /// Existence-only probe: same linearizing evidence as get() (the
   /// level-0 witness link joins the read set) without copying the value.
   bool contains(const K& k) {
     OpStarter op(mgr);
-    Pos pos;
-    if (find(pos, k)) {
-      addToReadSet(&pos.succs[0]->next(0), pos.succ0_next);
-      return true;
-    }
-    addToReadSet(&pos.preds[0]->next(0), pos.succs[0]);
-    return false;
+    return lookup(k) != nullptr;
   }
 
   bool insert(const K& k, const V& v) {
+    if constexpr (kHashed) {
+      if (core::TxManager::active_ctx() == nullptr) {
+        return *medley::execute_tx(*mgr, [&] { return insert(k, v); }).value;
+      }
+    }
     OpStarter op(mgr);
     Pos pos;
     Node* node = nullptr;
     for (;;) {
-      if (find(pos, k)) {
+      Node* curr = nullptr;
+      Node* succ = nullptr;
+      if (find_live(pos, k, curr, succ)) {
         if (node != nullptr) tDelete(node);
-        addToReadSet(&pos.succs[0]->next(0), pos.succ0_next);
+        addToReadSet(&curr->next(0), succ);
         return false;
       }
       if (node == nullptr) node = new_node(k, v);
@@ -107,8 +138,8 @@ class FraserSkiplist : public core::Composable {
 
   /// Insert-or-update. Returns the previous value if the key was present.
   /// A present key is updated in place (see the header comment): one
-  /// descent and two critical CASes, with the node, its tower and its
-  /// neighbours untouched.
+  /// descent (a bucket probe in the hashed form) and two critical CASes,
+  /// with the node, its tower and its neighbours untouched.
   std::optional<V> put(const K& k, const V& v) {
     if (core::TxManager::active_ctx() == nullptr) {
       // The two CASes of an update must land atomically.
@@ -118,7 +149,9 @@ class FraserSkiplist : public core::Composable {
     Pos pos;
     Node* node = nullptr;
     for (;;) {
-      if (!find(pos, k)) {
+      Node* curr = nullptr;
+      Node* succ = nullptr;
+      if (!find_live(pos, k, curr, succ)) {
         if (node == nullptr) node = new_node(k, v);
         if (link_new(pos, node, k)) return std::nullopt;
         continue;
@@ -127,11 +160,9 @@ class FraserSkiplist : public core::Composable {
         tDelete(node);
         node = nullptr;
       }
-      Node* curr = pos.succs[0];
       // Critical CAS 1: re-write the level-0 link to its own value. Fails
       // (re-find) if a remove marked it since find.
-      if (!curr->next(0).nbtcCAS(pos.succ0_next, pos.succ0_next,
-                                 /*lin=*/false, /*pub=*/true)) {
+      if (!curr->next(0).nbtcCAS(succ, succ, /*lin=*/false, /*pub=*/true)) {
         continue;
       }
       // While our descriptor holds the link, no other put or remove of
@@ -150,15 +181,31 @@ class FraserSkiplist : public core::Composable {
   }
 
   std::optional<V> remove(const K& k) {
+    if constexpr (kHashed) {
+      if (core::TxManager::active_ctx() == nullptr) {
+        return *medley::execute_tx(*mgr, [&] { return remove(k); }).value;
+      }
+    }
     OpStarter op(mgr);
     Pos pos;
     for (;;) {
-      if (!find(pos, k)) {
-        addToReadSet(&pos.preds[0]->next(0), pos.succs[0]);
+      Node* victim = nullptr;
+      Node* succ = nullptr;
+      if (!find_live(pos, k, victim, succ)) {
+        register_gap(pos);
         return std::nullopt;
       }
-      Node* victim = pos.succs[0];
-      // Demote: mark every upper level, top down (benign helping CASes).
+      if constexpr (kHashed) {
+        // Publish: mark the bucket link. Probes skip the node once this
+        // commits, together with the level-0 mark below.
+        if (!victim->hnext.nbtcCAS(pos.bnext, mark(pos.bnext), /*lin=*/false,
+                                   /*pub=*/true)) {
+          continue;
+        }
+      }
+      // Demote: mark every upper level, top down (benign helping CASes;
+      // critical in the hashed form, whose bucket mark opened the
+      // speculation interval).
       for (int lvl = victim->level - 1; lvl >= 1; lvl--) {
         Node* nx = victim->next(lvl).nbtcLoad();
         while (!is_marked(nx)) {
@@ -176,6 +223,7 @@ class FraserSkiplist : public core::Composable {
           V res = unbox(victim->val.nbtcLoad());
           addToCleanups([this, victim, k] {
             Pos p;
+            if constexpr (kHashed) probe(p, k);  // unlinks victim's bucket link
             find(p, k);  // one full search unlinks victim everywhere
             tRetire(victim);
           });
@@ -207,10 +255,22 @@ class FraserSkiplist : public core::Composable {
     return scan_impl(lo, [](const K&) { return true; }, limit);
   }
 
-  /// Quiescent scans (tests/diagnostics).
+  /// Quiescent scans (tests/diagnostics). The hashed form counts the live
+  /// nodes of its buckets (the point-operation view); keys_slow() and the
+  /// plain form's count walk level 0.
   std::size_t size_slow() {
     OpStarter op(mgr);
     std::size_t n = 0;
+    if constexpr (kHashed) {
+      for (std::size_t b = 0; b < nbuckets_; b++) {
+        for (Node* cur = buckets_[b].load(); cur != nullptr;) {
+          Node* raw = cur->hnext.load();
+          if (!is_marked(raw)) n++;
+          cur = unmark(raw);
+        }
+      }
+      return n;
+    }
     for (Node* cur = unmark(head_->next(0).load()); cur != nullptr;
          cur = unmark(cur->next(0).load())) {
       if (!is_marked(cur->next(0).load())) n++;
@@ -251,6 +311,35 @@ class FraserSkiplist : public core::Composable {
     return true;
   }
 
+  /// Quiescent audit of the hash index: every live level-0 node sits in
+  /// exactly one bucket, its own, and no bucket holds a live node that
+  /// level 0 lacks (or a node whose bucket link and level-0 link disagree
+  /// on liveness).
+  bool buckets_consistent_slow()
+    requires kHashed
+  {
+    OpStarter op(mgr);
+    std::set<Node*> live0;
+    for (Node* cur = unmark(head_->next(0).load()); cur != nullptr;
+         cur = unmark(cur->next(0).load())) {
+      if (!is_marked(cur->next(0).load())) live0.insert(cur);
+    }
+    std::set<Node*> seen;
+    for (std::size_t b = 0; b < nbuckets_; b++) {
+      for (Node* cur = buckets_[b].load(); cur != nullptr;) {
+        Node* raw = cur->hnext.load();
+        if (!is_marked(raw)) {
+          if (bucket_of(cur->key) != b || !seen.insert(cur).second ||
+              live0.count(cur) == 0) {
+            return false;
+          }
+        }
+        cur = unmark(raw);
+      }
+    }
+    return seen == live0;
+  }
+
  private:
   template <typename T>
   using CASObj = core::CASObj<T>;
@@ -275,11 +364,14 @@ class FraserSkiplist : public core::Composable {
 
   struct Node;
   using Link = CASObj<Node*>;
+  struct NoLink {};
 
   struct Node {
     K key;
     int level;
     CASObj<Word> val;
+    /// Next node of the same hash bucket (hashed form; empty otherwise).
+    [[no_unique_address]] std::conditional_t<kHashed, Link, NoLink> hnext;
     // next[0..level) follows in the same allocation.
 
     /// One allocation for the header and the tower; the node owns w.
@@ -320,6 +412,10 @@ class FraserSkiplist : public core::Composable {
     Node* preds[kMaxLevel];
     Node* succs[kMaxLevel];
     Node* succ0_next = nullptr;  // raw (unmarked) next of succs[0] if found
+    // Hashed form: k's bucket position, as Michael's find leaves it.
+    Link* bprev = nullptr;
+    Node* bcurr = nullptr;
+    Node* bnext = nullptr;
   };
 
   static int random_level() {
@@ -351,10 +447,30 @@ class FraserSkiplist : public core::Composable {
     }
   }
 
-  /// Publish `node` between pos's level-0 pred and succ (insert's lin = pub
-  /// CAS); upper levels are linked by a commit-time cleanup. False: the
-  /// gap changed, re-find.
+  /// Publish `node` at the position find_live() left in `pos`. False: the
+  /// gap changed, re-find. The hashed form links the bucket gap first
+  /// (pub), then descends and links level 0.
   bool link_new(Pos& pos, Node* node, const K& k) {
+    if constexpr (kHashed) {
+      node->hnext.store(pos.bcurr);
+      if (!pos.bprev->nbtcCAS(pos.bcurr, node, /*lin=*/false, /*pub=*/true)) {
+        return false;
+      }
+      do {
+        // While we hold k's bucket gap no other node of k can turn live,
+        // so level 0 cannot hold one; retry rather than link a duplicate.
+        if (find(pos, k)) abortTx(core::AbortReason::Conflict);
+      } while (!link_level0(pos, node, k));
+      return true;
+    } else {
+      return link_level0(pos, node, k);
+    }
+  }
+
+  /// Link `node` between pos's level-0 pred and succ (insert's lin CAS);
+  /// upper levels are linked by a commit-time cleanup. False: the gap
+  /// changed, re-find.
+  bool link_level0(Pos& pos, Node* node, const K& k) {
     for (int i = 0; i < node->level; i++) node->next(i).store(pos.succs[i]);
     if (!pos.preds[0]->next(0).nbtcCAS(pos.succs[0], node, /*lin=*/true,
                                        /*pub=*/true)) {
@@ -364,6 +480,87 @@ class FraserSkiplist : public core::Composable {
       addToCleanups([this, node, k] { link_upper(node, k); });
     }
     return true;
+  }
+
+  /// k's live node: `curr` and its unmarked level-0 successor `succ`.
+  /// False: k is absent, and `pos` holds where a new node goes (the plain
+  /// form's preds/succs, the hashed form's bucket gap) and the evidence
+  /// register_gap() registers.
+  bool find_live(Pos& pos, const K& k, Node*& curr, Node*& succ) {
+    if constexpr (kHashed) {
+      for (;;) {
+        if (!probe(pos, k)) return false;
+        curr = pos.bcurr;
+        succ = curr->next(0).nbtcLoad();
+        if (!is_marked(succ)) return true;
+        // Removed since the probe; the re-probe unlinks it from the bucket.
+      }
+    } else {
+      if (!find(pos, k)) return false;
+      curr = pos.succs[0];
+      succ = pos.succ0_next;
+      return true;
+    }
+  }
+
+  /// Register the link that witnessed k absent after find_live().
+  void register_gap(Pos& pos) {
+    if constexpr (kHashed) {
+      addToReadSet(pos.bprev, pos.bcurr);
+    } else {
+      addToReadSet(&pos.preds[0]->next(0), pos.succs[0]);
+    }
+  }
+
+  /// get/contains: k's live node with its level-0 link registered, or
+  /// null with the gap registered.
+  Node* lookup(const K& k) {
+    Pos pos;
+    Node* curr = nullptr;
+    Node* succ = nullptr;
+    if (find_live(pos, k, curr, succ)) {
+      addToReadSet(&curr->next(0), succ);
+      return curr;
+    }
+    register_gap(pos);
+    return nullptr;
+  }
+
+  std::size_t bucket_of(const K& k) const {
+    return std::hash<K>{}(k) % nbuckets_;
+  }
+
+  /// Michael's search of k's bucket (hashed form): leaves bprev, bcurr,
+  /// bnext around the first node with key >= k, unlinking marked nodes on
+  /// the way (restarting from the bucket head when an unlink CAS fails).
+  /// No retirement here — the remover retires after its own probe and
+  /// search. Returns true iff bcurr holds k.
+  bool probe(Pos& pos, const K& k) {
+  retry:
+    Link* prev = &buckets_[bucket_of(k)];
+    Node* curr = prev->nbtcLoad();
+    for (;;) {
+      if (curr == nullptr) {
+        pos.bprev = prev;
+        pos.bcurr = nullptr;
+        pos.bnext = nullptr;
+        return false;
+      }
+      Node* raw = curr->hnext.nbtcLoad();
+      if (is_marked(raw)) {
+        if (!prev->nbtcCAS(curr, unmark(raw), false, false)) goto retry;
+        curr = unmark(raw);
+        continue;
+      }
+      if (!(curr->key < k)) {
+        pos.bprev = prev;
+        pos.bcurr = curr;
+        pos.bnext = raw;
+        return curr->key == k;
+      }
+      prev = &curr->hnext;
+      curr = raw;
+    }
   }
 
   /// Fraser's search: compute preds/succs at every level for key k,
@@ -513,6 +710,13 @@ class FraserSkiplist : public core::Composable {
   }
 
   Node* head_;
+  std::size_t nbuckets_ = 0;        // hashed form only
+  std::unique_ptr<Link[]> buckets_;  // hashed form only
 };
+
+/// The skip hash: a Fraser skiplist whose nodes are also chained into hash
+/// buckets, so point operations skip the descent (see the header comment).
+template <typename K, typename V>
+using SkipHash = FraserSkiplist<K, V, 20, /*kHashed=*/true>;
 
 }  // namespace medley::ds

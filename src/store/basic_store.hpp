@@ -1,29 +1,36 @@
 #pragma once
 // BasicMedleyStore: the transactional KV-store façade (ROADMAP "serving
-// layer"). Three nonblocking structures share one TxManager and every
-// public operation is ONE Medley transaction composing them:
+// layer"). Nonblocking structures share one TxManager and every public
+// operation is ONE Medley transaction composing them:
 //
-//   primary    — hash map, the authoritative key -> value mapping;
-//   secondary  — ordered map over the SAME entries (range / scan);
+//   primary    — point index (get / contains), the key -> value mapping;
+//   secondary  — ordered index over the SAME entries (range / scan);
 //   change feed — MSQueue of committed mutations, in serialization order.
 //
-// Because the three writes of a mutation (primary update, secondary
-// update, feed append) linearize atomically at MCNS commit, the indexes
-// can never be observed out of sync by a committed transaction and the
-// feed never shows a mutation that did not happen — without a single lock
-// anywhere (paper Layer 2; PAPER.md "Layer 4 — serving").
+// Because the writes of a mutation (index updates, feed append) linearize
+// atomically at MCNS commit, the indexes can never be observed out of
+// sync by a committed transaction and the feed never shows a mutation
+// that did not happen — without a single lock anywhere (paper Layer 2;
+// PAPER.md "Layer 4 — serving").
 //
-// The façade is parameterized over the structure types so the same
-// choreography serves the DRAM store (MedleyStore: MichaelHashTable +
-// FraserSkiplist) and the persistent one (PersistentMedleyStore: the
-// txMontage maps), which only swap the index implementations.
+// The façade is parameterized over the structure types and has two forms:
+//
+//   single-index (Primary == Secondary, one object): one structure serves
+//     both roles, and a mutation is one call on it plus the feed append.
+//     MedleyStore uses it with ds::SkipHash — a Fraser skiplist whose
+//     nodes are also chained into hash buckets — so a present-key put is a
+//     bucket probe plus two CASes on the one shared node (no descent, no
+//     allocation), and range/scan walk the same nodes at level 0.
+//   two-index (distinct types): a mutation updates the primary, then the
+//     secondary, in one transaction. PersistentMedleyStore uses it with
+//     the txMontage hash table and skiplist.
 //
 // Interface contract:
-//   Primary:   get/put/remove (put returns the previous value);
-//   Secondary: put/remove/range/scan (put is insert-or-update; the Fraser
-//              skiplist updates a present key in place — one descent and
-//              two critical CASes, no new node — so a replace costs the
-//              secondary about what it costs the hash primary).
+//   Primary:   get/contains/put/remove (put is insert-or-update and
+//              returns the previous value);
+//   Secondary: put/remove/range/scan (same put; the Fraser skiplist
+//              updates a present key in place — two critical CASes, no
+//              new node).
 //
 // Nesting: a store operation called while the thread is already inside a
 // transaction of the same manager flat-nests into it (its effects commit
@@ -80,7 +87,7 @@ inline void rethrow_failed_non_user(const TxResult<R>& res) {
 }
 
 struct StoreConfig {
-  std::size_t buckets = 1u << 16;  // primary hash size
+  std::size_t buckets = 1u << 16;  // hash buckets of the point index
   bool feed_enabled = true;        // disable to trade the feed for less
                                    // tail contention (bench ablation)
 
@@ -201,9 +208,13 @@ class BasicMedleyStore : public core::Composable {
  public:
   using FeedItem = FeedEntry<K, V>;
 
+  /// One structure serves as both indexes (see the header comment).
+  static constexpr bool kSingleIndex = std::is_same_v<Primary, Secondary>;
+
   /// The store borrows the indexes (owned by the concrete subclass, which
   /// knows how to build them) and owns the feed queue. Composable gives
-  /// it addToCleanups for commit-exact feed accounting.
+  /// it addToCleanups for commit-exact feed accounting. The single-index
+  /// form takes the same object twice.
   BasicMedleyStore(core::TxManager* mgr, Primary* primary,
                    Secondary* secondary, const StoreConfig& cfg)
       : Composable(mgr),
@@ -211,6 +222,13 @@ class BasicMedleyStore : public core::Composable {
         secondary_(secondary),
         cfg_(validated(cfg)),
         feed_(mgr) {
+    if constexpr (kSingleIndex) {
+      if (primary != secondary) {
+        throw std::invalid_argument(
+            "BasicMedleyStore: a store whose Primary and Secondary are the "
+            "same type indexes through one structure; pass it twice");
+      }
+    }
     init_observability();
     if (cfg_.combining.enabled) {
       combiner_ = std::make_unique<Combiner>(
@@ -721,7 +739,7 @@ class BasicMedleyStore : public core::Composable {
 
   std::optional<V> put_in_tx(const K& k, const V& v) {
     std::optional<V> old = primary_->put(k, v);
-    secondary_->put(k, v);
+    if constexpr (!kSingleIndex) secondary_->put(k, v);
     feed_append(FeedItem{FeedOp::Put, k, v});
     // Key-count accounting rides the cleanup list like the feed counters:
     // counted once iff the mutation actually commits, so key_count() is
@@ -734,7 +752,7 @@ class BasicMedleyStore : public core::Composable {
   std::optional<V> del_in_tx(const K& k) {
     std::optional<V> old = primary_->remove(k);
     if (!old) return std::nullopt;  // read-only outcome, still validated
-    secondary_->remove(k);
+    if constexpr (!kSingleIndex) secondary_->remove(k);
     feed_append(FeedItem{FeedOp::Del, k, V{}});
     addToCleanups([this] { stats_.note_key_remove(1); });
     return old;

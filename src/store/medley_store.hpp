@@ -1,32 +1,30 @@
 #pragma once
-// MedleyStore: the DRAM serving store — BasicMedleyStore over a Michael
-// hash table primary and a Fraser skiplist secondary index. See
-// basic_store.hpp for the transaction choreography and invariants.
+// MedleyStore: the DRAM serving store — the single-index BasicMedleyStore
+// over one ds::SkipHash, a Fraser skiplist whose nodes are also chained
+// into hash buckets: point operations reach a key's node through its
+// bucket, range/scan walk the same nodes at level 0. See basic_store.hpp
+// for the transaction choreography and invariants.
 
 #include "ds/fraser_skiplist.hpp"
-#include "ds/michael_hashtable.hpp"
 #include "store/basic_store.hpp"
 
 namespace medley::store {
 
 template <typename K, typename V>
-class MedleyStore
-    : public BasicMedleyStore<K, V, ds::MichaelHashTable<K, V>,
-                              ds::FraserSkiplist<K, V>> {
-  using Base = BasicMedleyStore<K, V, ds::MichaelHashTable<K, V>,
-                                ds::FraserSkiplist<K, V>>;
+class MedleyStore : public BasicMedleyStore<K, V, ds::SkipHash<K, V>,
+                                            ds::SkipHash<K, V>> {
+  using Base =
+      BasicMedleyStore<K, V, ds::SkipHash<K, V>, ds::SkipHash<K, V>>;
 
  public:
   explicit MedleyStore(core::TxManager* mgr, StoreConfig cfg = {})
-      : Base(mgr, &owned_primary_, &owned_secondary_, cfg),
-        owned_primary_(mgr, cfg.buckets),
-        owned_secondary_(mgr) {}
+      : Base(mgr, &owned_index_, &owned_index_, cfg),
+        owned_index_(mgr, cfg.buckets) {}
 
  private:
-  // Declared after Base (pointers handed to Base before construction are
+  // Declared after Base (the pointer handed to Base before construction is
   // only dereferenced by operations, never by Base's constructor).
-  ds::MichaelHashTable<K, V> owned_primary_;
-  ds::FraserSkiplist<K, V> owned_secondary_;
+  ds::SkipHash<K, V> owned_index_;
 };
 
 }  // namespace medley::store

@@ -59,7 +59,8 @@ StoreConfig comb_cfg(std::size_t buckets = 128,
   return cfg;
 }
 
-/// I1 checked quiescently (the test_store helper, local to each TU).
+/// I1 checked quiescently (the test_store helper, local to each TU): the
+/// level-0 snapshot against the bucket view, plus the bucket audit.
 template <typename S>
 ::testing::AssertionResult mutually_consistent(S& store) {
   auto snapshot = store.range(0, ~0ULL);
@@ -79,6 +80,12 @@ template <typename S>
     return ::testing::AssertionFailure()
            << "primary holds " << psize << " keys, secondary "
            << snapshot.size();
+  }
+  if constexpr (S::kSingleIndex) {
+    if (!store.primary().buckets_consistent_slow()) {
+      return ::testing::AssertionFailure()
+             << "a bucket and level 0 disagree on a node";
+    }
   }
   return ::testing::AssertionSuccess();
 }

@@ -4,11 +4,14 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
+#include <chrono>
 #include <thread>
 
 #include "core/medley.hpp"
 #include "test_support.hpp"
+#include "util/backoff.hpp"
 #include "util/rng.hpp"
 
 using medley::AbortReason;
@@ -25,6 +28,16 @@ bool try_tx(TxManager& mgr, const std::function<void()>& body) {
   try {
     mgr.txBegin();
     body();
+    mgr.txEnd();
+    return true;
+  } catch (const TransactionAborted&) {
+    return false;
+  }
+}
+
+/// Commit the running tx. Returns true on commit, false on abort.
+bool try_tx_end(TxManager& mgr) {
+  try {
     mgr.txEnd();
     return true;
   } catch (const TransactionAborted&) {
@@ -167,6 +180,80 @@ TEST(Mcns, PlainLoadByPeerForcesAbortOfInPrepTx) {
   EXPECT_THROW(mgr.txEnd(), TransactionAborted);
   EXPECT_EQ(a.load(), 1u);
   EXPECT_EQ(mgr.stats().conflict_aborts, 1u);
+}
+
+TEST(Mcns, InTxLoadByPeerForcesAbortOfStalledInPrepTx) {
+  // The in-transaction analogue of the test above: a peer's nbtcLoad waits
+  // out its grace (kLoadGraceSpins pauses), then finalizes an owner that
+  // is still preparing — aborting it — and reads the pre-tx value.
+  TxManager mgr;
+  U64Obj a(1);
+  mgr.txBegin();
+  ASSERT_TRUE(a.nbtcCAS(1, 10, true, true));
+  std::thread([&] {
+    mgr.txBegin();
+    EXPECT_EQ(a.nbtcLoad(), 1u);
+    mgr.txEnd();
+  }).join();
+  EXPECT_THROW(mgr.txEnd(), TransactionAborted);
+  EXPECT_EQ(a.load(), 1u);
+  EXPECT_EQ(mgr.stats().conflict_aborts, 1u);
+}
+
+TEST(Mcns, InTxLoadGraceLetsCommittingOwnerFinish) {
+  // A peer's in-transaction load that meets a preparing owner's
+  // descriptor waits kLoadGraceSpins pauses before finalizing it, so an
+  // owner that commits within that time stays committed and the load
+  // returns its value. Here the owner commits half a grace after it sees
+  // the peer announce the load. Without the grace the peer finalizes the
+  // owner first in nearly every trial. Only trials in which the owner saw
+  // the announcement sooner than the fastest measured grace count: in the
+  // others the owner was not running, and no grace can help it.
+  using Clock = std::chrono::steady_clock;
+  U64Obj probe(0);
+  auto grace = Clock::duration::max();  // the grace's wait loop, unloaded
+  for (int i = 0; i < 100; i++) {
+    const auto t0 = Clock::now();
+    for (int j = 0; j < U64Obj::kLoadGraceSpins; j++) {
+      (void)probe.raw();
+      medley::util::cpu_relax();
+    }
+    grace = std::min(grace, Clock::now() - t0);
+  }
+  int timely = 0, committed = 0;
+  for (int trial = 0; trial < 400 && timely < 40; trial++) {
+    TxManager mgr;
+    U64Obj a(1);
+    std::atomic<int> phase{0};
+    std::uint64_t seen = 0;
+    Clock::time_point announced;
+    std::thread peer([&] {
+      while (phase.load() != 1) std::this_thread::yield();
+      mgr.txBegin();
+      announced = Clock::now();
+      phase.store(2);
+      seen = a.nbtcLoad();
+      mgr.txEnd();
+    });
+    mgr.txBegin();
+    EXPECT_TRUE(a.nbtcCAS(1, 10, true, true));  // no early return: peer runs
+    phase.store(1);
+    while (phase.load() != 2) medley::util::cpu_relax();
+    const auto noticed = Clock::now();
+    for (int i = 0; i < U64Obj::kLoadGraceSpins / 2; i++) {
+      medley::util::cpu_relax();
+    }
+    const bool ok = try_tx_end(mgr);
+    peer.join();
+    EXPECT_EQ(seen, ok ? 10u : 1u);
+    EXPECT_EQ(a.load(), ok ? 10u : 1u);
+    if (noticed - announced >= grace) continue;
+    timely++;
+    if (ok) committed++;
+  }
+  if (timely < 10) GTEST_SKIP() << "owner threads were not running promptly";
+  EXPECT_GT(2 * committed, timely)
+      << committed << " of " << timely << " owners stayed committed";
 }
 
 TEST(Mcns, PeerNbtcCasForcesAbortAndProceeds) {

@@ -1,8 +1,9 @@
-// Typed property suite over the three ordered-map structures (Fraser
-// skiplist, rotating skiplist, Natarajan-Mittal BST): identical map
-// semantics, NBTC transactional behaviour, an std::map oracle under random
-// workloads, and concurrent conservation invariants. Each test runs once
-// per structure via TYPED_TEST.
+// Typed property suite over the ordered-map structures (Fraser skiplist,
+// rotating skiplist, Natarajan-Mittal BST, and the skip hash — the Fraser
+// skiplist with its hash-bucket index): identical map semantics, NBTC
+// transactional behaviour, an std::map oracle under random workloads, and
+// concurrent conservation invariants. Each test runs once per structure
+// via TYPED_TEST.
 
 #include <gtest/gtest.h>
 
@@ -30,7 +31,8 @@ class OrderedMap : public ::testing::Test {
 using Structures =
     ::testing::Types<medley::ds::FraserSkiplist<std::uint64_t, std::uint64_t>,
                      medley::ds::RotatingSkiplist<std::uint64_t, std::uint64_t>,
-                     medley::ds::NatarajanBST<std::uint64_t, std::uint64_t>>;
+                     medley::ds::NatarajanBST<std::uint64_t, std::uint64_t>,
+                     medley::ds::SkipHash<std::uint64_t, std::uint64_t>>;
 TYPED_TEST_SUITE(OrderedMap, Structures);
 
 TYPED_TEST(OrderedMap, InsertGetRoundTrip) {

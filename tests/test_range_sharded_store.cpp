@@ -48,7 +48,8 @@ Store make4(medley::store::StoreConfig cfg = {.buckets = 256}) {
 }
 
 /// R1 + basic_store I1 per shard, checked quiescently: every key lives on
-/// the one shard its range owns, primary == secondary.
+/// the one shard its range owns, and each shard's level-0 snapshot agrees
+/// with its bucket view (get, size_slow) and passes the bucket audit.
 ::testing::AssertionResult shards_mutually_consistent(Store& s) {
   for (std::size_t i = 0; i < s.shard_count(); i++) {
     auto& shard = s.shard(i);
@@ -71,6 +72,10 @@ Store make4(medley::store::StoreConfig cfg = {.buckets = 256}) {
              << "shard " << i << ": primary holds "
              << shard.primary().size_slow() << " keys, secondary "
              << snapshot.size();
+    }
+    if (!shard.primary().buckets_consistent_slow()) {
+      return ::testing::AssertionFailure()
+             << "shard " << i << ": a bucket and level 0 disagree on a node";
     }
   }
   return ::testing::AssertionSuccess();

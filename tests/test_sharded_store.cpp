@@ -36,7 +36,8 @@ namespace h = medley::test::harness;
 
 namespace {
 
-/// S1 per shard, checked quiescently.
+/// S1 per shard, checked quiescently: each shard's level-0 snapshot
+/// against its bucket view (get, size_slow), plus the bucket audit.
 ::testing::AssertionResult shards_mutually_consistent(Store& s) {
   for (std::size_t i = 0; i < s.shard_count(); i++) {
     auto& shard = s.shard(i);
@@ -59,6 +60,10 @@ namespace {
              << "shard " << i << ": primary holds "
              << shard.primary().size_slow() << " keys, secondary "
              << snapshot.size();
+    }
+    if (!shard.primary().buckets_consistent_slow()) {
+      return ::testing::AssertionFailure()
+             << "shard " << i << ": a bucket and level 0 disagree on a node";
     }
   }
   return ::testing::AssertionSuccess();

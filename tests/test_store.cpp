@@ -15,6 +15,7 @@
 #include <cstdio>
 #include <map>
 #include <optional>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -36,6 +37,9 @@ namespace {
 
 /// I1 checked quiescently: every secondary entry matches primary.get and
 /// the sizes agree (set equality via inclusion + cardinality).
+/// PersistentMedleyStore compares its two indexes. MedleyStore has one
+/// (a SkipHash): range reads its level 0, get and primary().size_slow()
+/// its buckets, and the bucket audit checks both hold the same nodes.
 template <typename S>
 ::testing::AssertionResult mutually_consistent(S& store) {
   auto snapshot = store.range(0, ~0ULL);
@@ -55,6 +59,12 @@ template <typename S>
     return ::testing::AssertionFailure()
            << "primary holds " << psize << " keys, secondary "
            << snapshot.size();
+  }
+  if constexpr (S::kSingleIndex) {
+    if (!store.primary().buckets_consistent_slow()) {
+      return ::testing::AssertionFailure()
+             << "a bucket and level 0 disagree on a node";
+    }
   }
   return ::testing::AssertionSuccess();
 }
@@ -95,6 +105,29 @@ TEST(Store, PointOpSemantics) {
 
   auto st = s.stats();
   EXPECT_GT(st.commits, 0u);
+}
+
+TEST(Store, SingleIndexFormTakesOneStructure) {
+  // MedleyStore indexes through one SkipHash; the persistent store keeps
+  // a hash primary and a skiplist secondary.
+  static_assert(Store::kSingleIndex);
+  static_assert(!PersistentMedleyStore::kSingleIndex);
+  using Index = medley::ds::SkipHash<std::uint64_t, std::uint64_t>;
+  using Single =
+      medley::store::BasicMedleyStore<std::uint64_t, std::uint64_t, Index,
+                                      Index>;
+  TxManager mgr;
+  Index a(&mgr, 64), b(&mgr, 64);
+  EXPECT_THROW(Single(&mgr, &a, &b, {}), std::invalid_argument);
+  Single s(&mgr, &a, &a, {});
+  EXPECT_FALSE(s.put(1, 10).has_value());
+  EXPECT_EQ(s.put(1, 11), std::optional<std::uint64_t>(10));
+  EXPECT_EQ(s.range(0, 9), (std::vector<std::pair<std::uint64_t,
+                                                  std::uint64_t>>{{1, 11}}));
+  EXPECT_EQ(s.del(1), std::optional<std::uint64_t>(11));
+  EXPECT_EQ(a.size_slow(), 0u);
+  EXPECT_TRUE(a.buckets_consistent_slow());
+  EXPECT_EQ(s.stats().feed_pushed, 3u);
 }
 
 TEST(Store, RangeScanAndMultiPut) {
