@@ -25,45 +25,68 @@
 //            value cell only changes together with a bump of that link.
 //
 // Hash index (kHashed = true; the SkipHash alias): every node is also
-// chained, Michael-style, into a hash bucket through one more link
-// (`hnext`, ordered by key within the bucket, marked on removal), so a
-// point operation reaches its node through the bucket instead of a
-// descent. A node is live iff its level-0 link is unmarked, and the bucket
-// link and level-0 link of a node change in the same transaction, so the
-// two views agree at every committed state:
+// linked, through one more link (`hnext`, marked on removal), into one
+// split-ordered list (Shalev & Shavit, "Split-ordered lists", JACM 2006):
+// nodes sorted by bit-reversed hash, then by key. A table of 2^i bucket
+// cells indexes that list. Bucket b's cell is itself b's sentinel: list
+// links name it by a tagged index, and it is linked lazily, on first
+// touch, right before the nodes whose hash ends in b's i low bits.
+// Doubling the table changes only its size; no node moves, and a probe
+// that read a stale, smaller size starts from a parent bucket's sentinel,
+// which precedes the same nodes. The table starts at the constructor's
+// `buckets`, rounded up to a power of two, and doubles once committed
+// inserts minus committed removes (counted by their cleanups) exceed
+// kMaxLoad per bucket. A node is live iff its level-0 link is unmarked,
+// and the hash link and level-0 link of a node change in the same
+// transaction, so the two views agree at every committed state:
 //   get/contains : a bucket probe; found — the node's level-0 link is
 //            registered and the value read after it, as above; absent —
-//            the bucket link that witnessed the gap is registered.
+//            the hash link that witnessed the gap is registered.
 //   put    : present key — a bucket probe, then the same two CASes as
 //            above: no descent and no allocation. Absent key — as insert.
-//   insert : links the bucket (pub), then descends and links level 0
+//   insert : links the hash gap (pub), then descends and links level 0
 //            (lin), so the descriptor sits on the contended level-0 link
 //            only from there to commit.
-//   remove : marks the bucket link (pub), then the tower, then level 0
-//            (lin). Its cleanup searches the bucket and runs one full
+//   remove : marks the hash link (pub), then the tower, then level 0
+//            (lin). Its cleanup probes the bucket and runs one full
 //            skiplist search, then retires the node.
+//   range/scan : a probe for lo; present with an unmarked level-0 link —
+//            the walk enters level 0 at lo's node, whose registered link
+//            witnesses it live (no key lies between lo and itself, so no
+//            predecessor evidence is needed). An absent lo, a marked node
+//            or any restart descends as in the plain form.
 // Every mutation of the hashed form runs in a transaction (a bare call is
 // a one-op transaction), so no reader sees one list changed without the
-// other. range/scan walk level 0 exactly as in the plain form.
+// other. Sentinels are structure, not state: a walk over committed links
+// links one with plain descriptor-aware CASes, which take effect at once
+// whatever the caller's fate; where the link to CAS holds the caller's
+// own descriptor, it gives up and the caller probes from the parent.
+// Towers are thinner than the plain form's (p = 1/4, not 1/2): point
+// operations and ordered reads enter through the hash, so towers only
+// position inserts.
 //
 // Values: a word-sized trivially copyable V lives in the node's CASObj
 // value cell directly; any other V (std::string, ...) is held as a pointer
 // to an immutable heap box. An update installs a fresh box and retires the
 // replaced one through EBR at commit; a node frees its current box.
 //
-// Node layout: key, level, value cell, bucket link (hashed form only),
+// Node layout: key, level, value cell, hash link (hashed form only),
 // then the tower next[0..level) in the same allocation, so a node costs
 // one block.
 //
 // Retirement policy: only the remover retires a node, in its cleanup,
 // after one complete search(k) call has ensured the node is unlinked from
 // every level (helping searches unlink but never retire; in the hashed
-// form the same holds for bucket probes). This differs from the
-// single-level list, where the successful unlinker retires.
+// form the same holds for bucket probes and sentinel links). This differs
+// from the single-level list, where the successful unlinker retires.
 
+#include <algorithm>
+#include <atomic>
+#include <bit>
+#include <cstdint>
 #include <functional>
 #include <limits>
-#include <memory>
+#include <map>
 #include <new>
 #include <optional>
 #include <set>
@@ -81,13 +104,18 @@ namespace medley::ds {
 template <typename K, typename V, int kMaxLevel = 20, bool kHashed = false>
 class FraserSkiplist : public core::Composable {
  public:
-  /// `buckets` sizes the hash index of the hashed form (ignored otherwise).
+  /// `buckets` is the initial size of the hashed form's index, rounded up
+  /// to a power of two; the index doubles as keys accumulate (ignored by
+  /// the plain form).
   explicit FraserSkiplist(core::TxManager* manager,
                           std::size_t buckets = 1u << 16)
       : Composable(manager), head_(Node::make(K{}, Word{}, kMaxLevel)) {
     if constexpr (kHashed) {
-      nbuckets_ = buckets;
-      buckets_ = std::make_unique<Link[]>(buckets);
+      table_.base_log = std::bit_width(std::bit_ceil(
+                      std::clamp<std::size_t>(buckets, 1, kMaxBuckets))) -
+                  1;
+      table_.size.store(std::size_t{1} << table_.base_log);
+      bucket(0).store(nullptr);  // bucket 0's sentinel heads the list
     }
   }
 
@@ -98,6 +126,26 @@ class FraserSkiplist : public core::Composable {
       delete n;
       n = nx;
     }
+    if constexpr (kHashed) {
+      for (std::size_t j = 0; j < kSegments; j++) {
+        if (Link* seg = table_.segs[j].load()) {
+          ::operator delete(seg, std::align_val_t{alignof(Link)});
+        }
+      }
+    }
+  }
+
+  /// Committed keys per bucket past which the hashed form's table doubles.
+  static constexpr std::int64_t kMaxLoad = 8;
+
+  /// Bytes of a node of tower height `level` (tests pin the layout).
+  static std::size_t node_bytes(int level) { return Node::bytes(level); }
+
+  /// The hashed form's current bucket count.
+  std::size_t bucket_count() const
+    requires kHashed
+  {
+    return table_.size.load();
   }
 
   std::optional<V> get(const K& k) {
@@ -223,7 +271,10 @@ class FraserSkiplist : public core::Composable {
           V res = unbox(victim->val.nbtcLoad());
           addToCleanups([this, victim, k] {
             Pos p;
-            if constexpr (kHashed) probe(p, k);  // unlinks victim's bucket link
+            if constexpr (kHashed) {
+              probe(p, k);  // unlinks victim's hash link
+              table_.keys.fetch_sub(1, std::memory_order_relaxed);
+            }
             find(p, k);  // one full search unlinks victim everywhere
             tRetire(victim);
           });
@@ -256,25 +307,34 @@ class FraserSkiplist : public core::Composable {
   }
 
   /// Quiescent scans (tests/diagnostics). The hashed form counts the live
-  /// nodes of its buckets (the point-operation view); keys_slow() and the
-  /// plain form's count walk level 0.
+  /// nodes of its split-ordered list (the point-operation view);
+  /// keys_slow() and the plain form's count walk level 0.
   std::size_t size_slow() {
     OpStarter op(mgr);
     std::size_t n = 0;
     if constexpr (kHashed) {
-      for (std::size_t b = 0; b < nbuckets_; b++) {
-        for (Node* cur = buckets_[b].load(); cur != nullptr;) {
-          Node* raw = cur->hnext.load();
-          if (!is_marked(raw)) n++;
-          cur = unmark(raw);
-        }
-      }
+      walk_hash_slow([&n](Node* e, Node* raw) {
+        if (!is_sentinel(e) && !is_marked(raw)) n++;
+      });
       return n;
     }
     for (Node* cur = unmark(head_->next(0).load()); cur != nullptr;
          cur = unmark(cur->next(0).load())) {
       if (!is_marked(cur->next(0).load())) n++;
     }
+    return n;
+  }
+
+  /// Quiescent count of linked sentinels, bucket 0's included (tests):
+  /// a bucket's sentinel is linked on the first probe of that bucket.
+  std::size_t sentinels_slow()
+    requires kHashed
+  {
+    OpStarter op(mgr);
+    std::size_t n = 1;
+    walk_hash_slow([&n](Node* e, Node*) {
+      if (is_sentinel(e)) n++;
+    });
     return n;
   }
 
@@ -311,10 +371,12 @@ class FraserSkiplist : public core::Composable {
     return true;
   }
 
-  /// Quiescent audit of the hash index: every live level-0 node sits in
-  /// exactly one bucket, its own, and no bucket holds a live node that
-  /// level 0 lacks (or a node whose bucket link and level-0 link disagree
-  /// on liveness).
+  /// Quiescent audit of the hash index. The split-ordered list is strictly
+  /// sorted; it holds every linked sentinel, each in place, and no other;
+  /// no sentinel is left half linked; its live nodes are exactly level 0's
+  /// live nodes (so no node's hash link and level-0 link disagree on
+  /// liveness); and each live node lies after the sentinel a probe of its
+  /// bucket starts from, so that probe reaches it.
   bool buckets_consistent_slow()
     requires kHashed
   {
@@ -324,20 +386,55 @@ class FraserSkiplist : public core::Composable {
          cur = unmark(cur->next(0).load())) {
       if (!is_marked(cur->next(0).load())) live0.insert(cur);
     }
-    std::set<Node*> seen;
-    for (std::size_t b = 0; b < nbuckets_; b++) {
-      for (Node* cur = buckets_[b].load(); cur != nullptr;) {
-        Node* raw = cur->hnext.load();
-        if (!is_marked(raw)) {
-          if (bucket_of(cur->key) != b || !seen.insert(cur).second ||
-              live0.count(cur) == 0) {
-            return false;
-          }
+    // Walk from bucket 0's sentinel (position 0, order 0).
+    std::map<std::size_t, std::size_t> sentinel_at{{0, 0}};  // bucket -> pos
+    std::map<Node*, std::size_t> live_at;                     // node -> pos
+    std::size_t at = 1;
+    std::uint64_t prev_order = 0;
+    Node* prev = nullptr;  // the previous element, if a node
+    for (Node* cur = bucket(0).load(); cur != nullptr; at++) {
+      if (is_sentinel(cur)) {
+        const std::size_t b = sentinel_index(cur);
+        if (!(prev_order < sentinel_order(b)) ||
+            !sentinel_at.emplace(b, at).second) {
+          return false;
         }
-        cur = unmark(raw);
+        prev_order = sentinel_order(b);
+        prev = nullptr;
+        cur = bucket(b).load();
+        if (!is_linked(bits(cur))) return false;
+        continue;
       }
+      const std::uint64_t order = node_order(cur->key);
+      if (order < prev_order ||
+          (order == prev_order &&
+           (prev == nullptr || !(prev->key < cur->key)))) {
+        return false;
+      }
+      prev_order = order;
+      prev = cur;
+      Node* raw = cur->hnext.load();
+      if (!is_marked(raw) && (live0.count(cur) == 0 ||
+                              !live_at.emplace(cur, at).second)) {
+        return false;
+      }
+      cur = unmark(raw);
     }
-    return seen == live0;
+    if (live_at.size() != live0.size()) return false;
+    // Every bucket cell's state matches the list.
+    const std::size_t size = table_.size.load();
+    for (std::size_t b = 0; b < size; b++) {
+      Link* cell = bucket_if_allocated(b);
+      const std::uintptr_t v = cell == nullptr ? kUninit : bits(cell->load());
+      if ((v == kUninit) != (sentinel_at.count(b) == 0)) return false;
+      if (v != kUninit && !is_linked(v)) return false;
+    }
+    for (const auto& [node, pos] : live_at) {
+      std::size_t b = node_hash(node->key) & (size - 1);
+      while (b != 0 && sentinel_at.count(b) == 0) b = parent_of(b);
+      if (sentinel_at.count(b) == 0 || !(sentinel_at[b] < pos)) return false;
+    }
+    return true;
   }
 
  private:
@@ -370,7 +467,8 @@ class FraserSkiplist : public core::Composable {
     K key;
     int level;
     CASObj<Word> val;
-    /// Next node of the same hash bucket (hashed form; empty otherwise).
+    /// Next element of the split-ordered list: a node, a sentinel (a
+    /// tagged bucket index) or null (hashed form; empty otherwise).
     [[no_unique_address]] std::conditional_t<kHashed, Link, NoLink> hnext;
     // next[0..level) follows in the same allocation.
 
@@ -378,14 +476,16 @@ class FraserSkiplist : public core::Composable {
     static Node* make(const K& k, Word w, int lvl) {
       void* mem = nullptr;
       try {
-        mem = ::operator new(sizeof(Node) +
-                             static_cast<std::size_t>(lvl) * sizeof(Link));
+        mem = ::operator new(bytes(lvl));
         return ::new (mem) Node(k, w, lvl);
       } catch (...) {
         ::operator delete(mem);
         if constexpr (kBoxed) delete w;
         throw;
       }
+    }
+    static std::size_t bytes(int lvl) {
+      return sizeof(Node) + static_cast<std::size_t>(lvl) * sizeof(Link);
     }
     static void* operator new(std::size_t) = delete;
     static void operator delete(void* p) { ::operator delete(p); }
@@ -412,11 +512,16 @@ class FraserSkiplist : public core::Composable {
     Node* preds[kMaxLevel];
     Node* succs[kMaxLevel];
     Node* succ0_next = nullptr;  // raw (unmarked) next of succs[0] if found
-    // Hashed form: k's bucket position, as Michael's find leaves it.
+    // Hashed form: k's position in the split-ordered list, as Michael's
+    // find leaves it (bcurr may be a sentinel or null).
     Link* bprev = nullptr;
     Node* bcurr = nullptr;
     Node* bnext = nullptr;
   };
+
+  /// Tower heights: each level is kept with p = 1/2 in the plain form and
+  /// p = 1/4 in the hashed form, whose towers only position inserts.
+  static constexpr std::uint64_t kLevelMask = kHashed ? 3 : 1;
 
   static int random_level() {
     thread_local util::Xoshiro256 rng(
@@ -424,7 +529,7 @@ class FraserSkiplist : public core::Composable {
         static_cast<std::uint64_t>(util::ThreadRegistry::tid() + 1) *
             0x2545f4914f6cdd1dULL);
     int lvl = 1;
-    while (lvl < kMaxLevel && (rng.next() & 1)) lvl++;
+    while (lvl < kMaxLevel && (rng.next() & kLevelMask) == kLevelMask) lvl++;
     return lvl;
   }
 
@@ -448,8 +553,8 @@ class FraserSkiplist : public core::Composable {
   }
 
   /// Publish `node` at the position find_live() left in `pos`. False: the
-  /// gap changed, re-find. The hashed form links the bucket gap first
-  /// (pub), then descends and links level 0.
+  /// gap changed, re-find. The hashed form links the hash gap first
+  /// (pub), then descends and links level 0; its cleanup counts the key.
   bool link_new(Pos& pos, Node* node, const K& k) {
     if constexpr (kHashed) {
       node->hnext.store(pos.bcurr);
@@ -457,10 +562,11 @@ class FraserSkiplist : public core::Composable {
         return false;
       }
       do {
-        // While we hold k's bucket gap no other node of k can turn live,
+        // While we hold k's hash gap no other node of k can turn live,
         // so level 0 cannot hold one; retry rather than link a duplicate.
         if (find(pos, k)) abortTx(core::AbortReason::Conflict);
       } while (!link_level0(pos, node, k));
+      addToCleanups([this] { count_insert(); });
       return true;
     } else {
       return link_level0(pos, node, k);
@@ -526,23 +632,257 @@ class FraserSkiplist : public core::Composable {
     return nullptr;
   }
 
-  std::size_t bucket_of(const K& k) const {
-    return std::hash<K>{}(k) % nbuckets_;
+  // ---- the split-ordered hash index (hashed form only) -----------------
+  //
+  // A link of the list holds null (the end), a node (bit 0 marks it
+  // removed) or a sentinel: bucket b's cell, named (b << 4) | kSentinel.
+  // A bucket cell holds kUninit until its sentinel is linked; while a
+  // thread links it, the cell holds the proposed successor | kPending,
+  // and whoever reaches the cell through the list (so it is linked)
+  // clears the tag. Nodes are 16-byte aligned, so bits 0-3 are free.
+
+  static constexpr std::uintptr_t kUninit = 2;
+  static constexpr std::uintptr_t kSentinel = 4;
+  static constexpr std::uintptr_t kPending = 8;
+  static constexpr int kMaxLogBuckets = 40;
+  static constexpr std::size_t kMaxBuckets = std::size_t{1} << kMaxLogBuckets;
+  /// Segment 0 holds the initial buckets; segment j > 0 the buckets
+  /// [2^(base+j-1), 2^(base+j)).
+  static constexpr std::size_t kSegments = kMaxLogBuckets + 1;
+
+  static Node* as_link(std::uintptr_t v) { return reinterpret_cast<Node*>(v); }
+  static std::uintptr_t bits(Node* p) {
+    return reinterpret_cast<std::uintptr_t>(p);
+  }
+  static Node* sentinel(std::size_t b) {
+    return as_link((b << 4) | kSentinel);
+  }
+  static bool is_sentinel(Node* p) { return (bits(p) & kSentinel) != 0; }
+  static std::size_t sentinel_index(Node* p) { return bits(p) >> 4; }
+  /// A bucket cell value that is a settled link (not kUninit or pending).
+  static bool is_linked(std::uintptr_t v) {
+    return (v & (kUninit | kPending)) == 0;
+  }
+  static Node* settled(Node* v) { return as_link(bits(v) & ~kPending); }
+  static std::size_t parent_of(std::size_t b) {
+    return b & ~std::bit_floor(b);
   }
 
-  /// Michael's search of k's bucket (hashed form): leaves bprev, bcurr,
-  /// bnext around the first node with key >= k, unlinking marked nodes on
-  /// the way (restarting from the bucket head when an unlink CAS fails).
-  /// No retirement here — the remover retires after its own probe and
-  /// search. Returns true iff bcurr holds k.
-  bool probe(Pos& pos, const K& k) {
-  retry:
-    Link* prev = &buckets_[bucket_of(k)];
-    Node* curr = prev->nbtcLoad();
+  static std::uint64_t reverse_bits(std::uint64_t x) {
+    x = __builtin_bswap64(x);
+    x = ((x >> 4) & 0x0f0f0f0f0f0f0f0fULL) | ((x & 0x0f0f0f0f0f0f0f0fULL) << 4);
+    x = ((x >> 2) & 0x3333333333333333ULL) | ((x & 0x3333333333333333ULL) << 2);
+    x = ((x >> 1) & 0x5555555555555555ULL) | ((x & 0x5555555555555555ULL) << 1);
+    return x;
+  }
+  static std::uint64_t node_hash(const K& k) { return std::hash<K>{}(k); }
+  /// Split order: a node sorts by its bit-reversed hash (odd), bucket b's
+  /// sentinel by reversed b (even), i.e. right before b's nodes; nodes of
+  /// equal order sort by key.
+  static std::uint64_t node_order(const K& k) {
+    return reverse_bits(node_hash(k)) | 1;
+  }
+  static std::uint64_t sentinel_order(std::size_t b) {
+    return reverse_bits(b);
+  }
+
+  std::size_t segment_len(std::size_t j) const {
+    const std::size_t base = table_.base_log;
+    return std::size_t{1} << (j == 0 ? base : base + j - 1);
+  }
+
+  /// Quiescent walk of the split-ordered list after bucket 0's sentinel:
+  /// visit(element, its raw next link) per sentinel and node.
+  template <typename F>
+  void walk_hash_slow(F&& visit) {
+    for (Node* cur = bucket(0).load(); cur != nullptr;) {
+      Node* raw = is_sentinel(cur)
+                      ? settled(bucket(sentinel_index(cur)).load())
+                      : cur->hnext.load();
+      visit(cur, raw);
+      cur = unmark(raw);
+    }
+  }
+
+  /// Segment of bucket b.
+  std::size_t segment_of(std::size_t b) const {
+    const std::size_t base = table_.base_log;
+    return b >> base == 0 ? 0 : std::bit_width(b) - base;
+  }
+
+  /// Bucket b's cell, or null while its segment is unallocated.
+  Link* bucket_if_allocated(std::size_t b) {
+    const std::size_t j = segment_of(b);
+    Link* seg = table_.segs[j].load(std::memory_order_acquire);
+    if (seg == nullptr) return nullptr;
+    return &seg[j == 0 ? b : b - std::bit_floor(b)];
+  }
+
+  /// Bucket b's cell, allocating its segment (all kUninit) on first use.
+  Link& bucket(std::size_t b) {
+    if (Link* cell = bucket_if_allocated(b)) return *cell;
+    const std::size_t j = segment_of(b);
+    const std::size_t n = segment_len(j);
+    auto* seg = static_cast<Link*>(
+        ::operator new(n * sizeof(Link), std::align_val_t{alignof(Link)}));
+    for (std::size_t i = 0; i < n; i++) ::new (&seg[i]) Link(as_link(kUninit));
+    Link* expected = nullptr;
+    if (!table_.segs[j].compare_exchange_strong(expected, seg,
+                                                std::memory_order_acq_rel)) {
+      ::operator delete(seg, std::align_val_t{alignof(Link)});
+    }
+    return *bucket_if_allocated(b);
+  }
+
+  /// A committed insert's cleanup: count the key, and double the table
+  /// once the keys outgrow it.
+  void count_insert() {
+    const std::int64_t keys =
+        table_.keys.fetch_add(1, std::memory_order_relaxed) + 1;
+    std::size_t size = table_.size.load(std::memory_order_relaxed);
+    if (keys > kMaxLoad * static_cast<std::int64_t>(size) &&
+        size < kMaxBuckets) {
+      table_.size.compare_exchange_strong(size, 2 * size);
+    }
+  }
+
+  /// The cell a probe of bucket b starts from: b's sentinel, linked now if
+  /// it is not yet, or else the nearest linked ancestor's (bucket 0's
+  /// always is). Reads cells raw: a descriptor on one means it is linked.
+  Link* start_cell(std::size_t b) {
+    Link& cell = bucket(b);
+    const util::U128 u = cell.raw();
+    if (core::CASCell::holds_desc(u) || is_linked(u.lo)) return &cell;
+    Link* parent = start_cell(parent_of(b));
+    if (u.lo == kUninit && link_sentinel(b, cell, *parent)) return &cell;
+    return parent;
+  }
+
+  /// Clear the pending tag of a sentinel cell known to be linked. A
+  /// plain 128-bit CAS (counter + 2, as any plain change): it never
+  /// finalizes a descriptor, so it cannot abort anyone.
+  static void settle(Link& cell) {
+    util::U128 u = cell.raw();
+    while (!core::CASCell::holds_desc(u) && (u.lo & kPending) != 0) {
+      if (cell.cell()->vc.compare_exchange(u,
+                                           {u.lo & ~kPending, u.hi + 2})) {
+        return;
+      }
+    }
+  }
+
+  /// Load a link the probe reached through the list (a sentinel reached
+  /// that way is linked, so a pending tag on it is cleared first).
+  Node* follow(Link& link) {
+    Node* v = link.nbtcLoad();
+    if ((bits(v) & kPending) != 0) {
+      settle(link);
+      v = link.nbtcLoad();
+    }
+    return v;
+  }
+
+  /// Committed value of a link, for link_sentinel's walk: where the link
+  /// holds the calling transaction's own descriptor, the value that
+  /// descriptor replaced (its speculative links are not the committed
+  /// list), and `own` is set: a plain CAS there would finalize, and so
+  /// abort, the caller.
+  static Node* committed(Link& link, bool& own) {
+    core::TxManager::ThreadCtx* c = core::TxManager::active_ctx();
+    const util::U128 u = link.raw();
+    own = core::CASCell::holds_desc(u) && c != nullptr && !c->read_only &&
+          core::CASCell::desc_of(u) == c->desc;
+    if (own) {
+      // Null (never expected): end the walk here; `own` makes it give up.
+      const core::WriteEntry* e =
+          c->desc->find_write(link.cell(), c->begin_status);
+      return e == nullptr
+                 ? nullptr
+                 : Link::decode(e->old_val.load(std::memory_order_relaxed));
+    }
+    settle(link);
+    return link.load();  // resolves a foreign descriptor
+  }
+
+  /// Link bucket b's sentinel (its cell) into the list, walking from the
+  /// parent's. Sentinels are structure, not state: the walk reads
+  /// committed links and the links are plain descriptor-aware CASes, so a
+  /// caller's abort never unlinks a sentinel a bucket points at. (The CAS
+  /// may rewrite a link another transaction registered as absent-key
+  /// evidence; that transaction then fails validation, spuriously but
+  /// soundly, once per bucket.) False: another thread is linking it, or
+  /// the link to CAS holds the caller's own descriptor; the caller probes
+  /// from the parent.
+  bool link_sentinel(std::size_t b, Link& cell, Link& parent) {
+    if (!cell.CAS(as_link(kUninit), as_link(kPending))) return false;
+    const std::uint64_t order = sentinel_order(b);
     for (;;) {
-      if (curr == nullptr) {
+      Link* prev = &parent;
+      bool own = false;  // prev holds the caller's descriptor
+      Node* curr = committed(*prev, own);
+      bool restart = false;
+      while (curr != nullptr) {
+        if (is_sentinel(curr)) {
+          const std::size_t s = sentinel_index(curr);
+          if (sentinel_order(s) > order) break;
+          prev = &bucket(s);
+          curr = committed(*prev, own);
+          continue;
+        }
+        if (node_order(curr->key) > order) break;
+        bool own_next = false;
+        Node* raw = committed(curr->hnext, own_next);
+        if (is_marked(raw)) {
+          // A committed remove: help unlink it (the remover retires).
+          if (own) break;
+          if (!prev->CAS(curr, unmark(raw))) {
+            restart = true;
+            break;
+          }
+          curr = unmark(raw);
+          continue;
+        }
+        prev = &curr->hnext;
+        own = own_next;
+        curr = raw;
+      }
+      if (restart) continue;
+      if (own) {
+        cell.store(as_link(kUninit));
+        return false;
+      }
+      cell.store(as_link(bits(curr) | kPending));
+      if (prev->CAS(curr, sentinel(b))) {
+        settle(cell);
+        return true;
+      }
+    }
+  }
+
+  /// Michael's search of k's place in the split-ordered list, from k's
+  /// bucket sentinel: leaves bprev, bcurr, bnext around the first element
+  /// ordered at or after k, unlinking marked nodes on the way (restarting
+  /// from the sentinel when an unlink CAS fails). No retirement here — the
+  /// remover retires after its own probe and search. Returns true iff
+  /// bcurr holds k.
+  bool probe(Pos& pos, const K& k) {
+    const std::uint64_t hash = node_hash(k);
+    const std::uint64_t order = reverse_bits(hash) | 1;  // node_order(k)
+  retry:
+    Link* prev = start_cell(hash & (table_.size.load() - 1));
+    Node* curr = follow(*prev);
+    for (;;) {
+      if (curr != nullptr && is_sentinel(curr)) {
+        const std::size_t s = sentinel_index(curr);
+        if (sentinel_order(s) < order) {
+          prev = &bucket(s);
+          curr = follow(*prev);
+          continue;
+        }
+      }
+      if (curr == nullptr || is_sentinel(curr)) {
         pos.bprev = prev;
-        pos.bcurr = nullptr;
+        pos.bcurr = curr;
         pos.bnext = nullptr;
         return false;
       }
@@ -552,11 +892,12 @@ class FraserSkiplist : public core::Composable {
         curr = unmark(raw);
         continue;
       }
-      if (!(curr->key < k)) {
+      const std::uint64_t at = node_order(curr->key);
+      if (at > order || (at == order && !(curr->key < k))) {
         pos.bprev = prev;
         pos.bcurr = curr;
         pos.bnext = raw;
-        return curr->key == k;
+        return at == order && curr->key == k;
       }
       prev = &curr->hnext;
       curr = raw;
@@ -602,8 +943,13 @@ class FraserSkiplist : public core::Composable {
 
   /// Shared body of range()/scan(): walk level 0 from the first key >= lo,
   /// collecting live entries while `in_range(key)` holds and the limit is
-  /// unspent. Marked nodes encountered mid-walk are helped out exactly as
-  /// in find() — including our own speculative removals, whose unlink CAS
+  /// unspent. The hashed form's first pass enters at lo's node when a
+  /// probe finds it: registering its unmarked level-0 link, as the walk
+  /// does for every node it collects, witnesses it live, and no key lies
+  /// between lo and itself. Otherwise the walk starts from find(lo)'s
+  /// level-0 predecessor, whose link it registers. Marked nodes
+  /// encountered mid-walk are helped out exactly as in find() —
+  /// including our own speculative removals, whose unlink CAS
   /// promotes into the transaction's write set — and a failed unlink
   /// restarts the walk from scratch (discarding the partial collection).
   /// Entries registered by an abandoned pass stay in the read set; they
@@ -629,22 +975,32 @@ class FraserSkiplist : public core::Composable {
         addToReadSet(cell, val);
       }
     };
+    bool entry = kHashed;  // the first pass may enter at lo's node
     for (;;) {
       out.clear();
       Pos pos;
-      find(pos, lo);
-      CASObj<Node*>* pred_cell = &pos.preds[0]->next(0);
-      Node* curr = pos.succs[0];
-      // Entry evidence: nothing sits between pred(lo) and the first
-      // candidate (pins absence for an empty result, too).
-      reg(pred_cell, curr);
+      CASObj<Node*>* pred_cell = nullptr;  // null: entered at lo's node
+      Node* curr = nullptr;
+      if constexpr (kHashed) {
+        if (entry && probe(pos, lo)) curr = pos.bcurr;
+      }
+      if (curr == nullptr) {
+        find(pos, lo);
+        pred_cell = &pos.preds[0]->next(0);
+        curr = pos.succs[0];
+        // Entry evidence: nothing sits between pred(lo) and the first
+        // candidate (pins absence for an empty result, too).
+        reg(pred_cell, curr);
+      }
       bool restart = false;
       while (curr != nullptr && out.size() < limit && in_range(curr->key)) {
         Node* raw = curr->next(0).nbtcLoad();
         if (is_marked(raw)) {
           // curr is logically deleted: help unlink it past pred_cell (no
-          // retirement — the remover retires after its own search).
-          if (!pred_cell->nbtcCAS(curr, unmark(raw), false, false)) {
+          // retirement — the remover retires after its own search). An
+          // entry node has no pred_cell: descend instead.
+          if (pred_cell == nullptr ||
+              !pred_cell->nbtcCAS(curr, unmark(raw), false, false)) {
             restart = true;
             break;
           }
@@ -668,6 +1024,7 @@ class FraserSkiplist : public core::Composable {
         curr = raw;
       }
       if (!restart) return out;
+      entry = false;
       if (!dedup) {
         seedReadSetDedup();
         dedup = true;
@@ -709,9 +1066,17 @@ class FraserSkiplist : public core::Composable {
     }
   }
 
+  /// The hashed form's bucket table (empty in the plain form).
+  struct Table {
+    std::size_t base_log = 0;  // log2 of the initial bucket count
+    std::atomic<std::size_t> size{0};
+    std::atomic<Link*> segs[kSegments] = {};
+    alignas(64) std::atomic<std::int64_t> keys{0};  // committed, net
+  };
+  struct NoTable {};
+
   Node* head_;
-  std::size_t nbuckets_ = 0;        // hashed form only
-  std::unique_ptr<Link[]> buckets_;  // hashed form only
+  [[no_unique_address]] std::conditional_t<kHashed, Table, NoTable> table_;
 };
 
 /// The skip hash: a Fraser skiplist whose nodes are also chained into hash

@@ -18,9 +18,10 @@
 //   single-index (Primary == Secondary, one object): one structure serves
 //     both roles, and a mutation is one call on it plus the feed append.
 //     MedleyStore uses it with ds::SkipHash — a Fraser skiplist whose
-//     nodes are also chained into hash buckets — so a present-key put is a
-//     bucket probe plus two CASes on the one shared node (no descent, no
-//     allocation), and range/scan walk the same nodes at level 0.
+//     nodes are also linked into a split-ordered hash list — so a
+//     present-key put is a bucket probe plus two CASes on the one shared
+//     node (no descent, no allocation), and range/scan enter the same
+//     nodes' level 0 at lo's node.
 //   two-index (distinct types): a mutation updates the primary, then the
 //     secondary, in one transaction. PersistentMedleyStore uses it with
 //     the txMontage hash table and skiplist.
@@ -87,7 +88,10 @@ inline void rethrow_failed_non_user(const TxResult<R>& res) {
 }
 
 struct StoreConfig {
-  std::size_t buckets = 1u << 16;  // hash buckets of the point index
+  /// Initial hash buckets of the point index. MedleyStore's SkipHash
+  /// rounds it up to a power of two and doubles as keys accumulate; the
+  /// persistent store's hash table keeps it fixed. Must be > 0.
+  std::size_t buckets = 1u << 16;
   bool feed_enabled = true;        // disable to trade the feed for less
                                    // tail contention (bench ablation)
 
@@ -165,11 +169,15 @@ struct StoreConfig {
 };
 
 /// Construction-time validation of a StoreConfig (shared by
-/// BasicMedleyStore and ShardedStoreBase): feed_drain_per_tx = 0 throws —
-/// it would silently turn poll_feed into a permanent no-op — and values
-/// above kMaxFeedDrainPerTx clamp to it (the documented contract; the
-/// ceiling exists so a drain can never deterministically Capacity-abort).
+/// BasicMedleyStore and ShardedStoreBase): buckets = 0 throws (a hash
+/// index needs a bucket); feed_drain_per_tx = 0 throws — it would
+/// silently turn poll_feed into a permanent no-op — and values above
+/// kMaxFeedDrainPerTx clamp to it (the documented contract; the ceiling
+/// exists so a drain can never deterministically Capacity-abort).
 inline StoreConfig validated(StoreConfig cfg) {
+  if (cfg.buckets == 0) {
+    throw std::invalid_argument("StoreConfig::buckets must be > 0");
+  }
   if (cfg.feed_drain_per_tx == 0) {
     throw std::invalid_argument(
         "StoreConfig::feed_drain_per_tx must be > 0 (0 would make "

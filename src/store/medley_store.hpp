@@ -1,9 +1,12 @@
 #pragma once
 // MedleyStore: the DRAM serving store — the single-index BasicMedleyStore
-// over one ds::SkipHash, a Fraser skiplist whose nodes are also chained
-// into hash buckets: point operations reach a key's node through its
-// bucket, range/scan walk the same nodes at level 0. See basic_store.hpp
-// for the transaction choreography and invariants.
+// over one ds::SkipHash, a Fraser skiplist whose nodes are also linked
+// into a split-ordered hash list: point operations reach a key's node
+// through its bucket, and range/scan enter level 0 at lo's node the same
+// way when lo is present, then walk the same nodes in order. The bucket
+// table starts at StoreConfig::buckets, rounded up to a power of two, and
+// doubles as keys accumulate. See basic_store.hpp for the transaction
+// choreography and invariants.
 
 #include "ds/fraser_skiplist.hpp"
 #include "store/basic_store.hpp"

@@ -1,10 +1,14 @@
 // The skip hash (ds::SkipHash): a Fraser skiplist whose nodes are also
-// chained into hash buckets. Point operations go through the bucket,
-// range/scan walk level 0, and every mutation changes both in one
-// transaction. Under test: map semantics against a std::map oracle, the
-// structural agreement of the two views, node reclamation, the bucket-path
-// put racing a remove, read validation of an in-place update, and bare
-// calls running as one-op transactions.
+// linked into one split-ordered hash list, indexed by a bucket table that
+// doubles as keys accumulate. Point operations go through the buckets,
+// range/scan enter level 0 at lo's node when it is present, and every
+// mutation changes both lists in one transaction. Under test: map
+// semantics against a std::map oracle, the structural agreement of the
+// two views, node reclamation, the bucket-path put racing a remove, read
+// validation of an in-place update and of a scan's entry node, bare calls
+// running as one-op transactions, table growth under concurrency, and
+// lazy sentinels (linked at once whatever the caller's fate, and skipped
+// where the caller's own descriptor sits on the link point).
 
 #include <gtest/gtest.h>
 
@@ -428,4 +432,253 @@ TEST(SkipHash, RemovedNodesAreFreedExactlyOnce) {
         << "one live key per live node, plus the head's";
   }
   EXPECT_EQ(CountedKey::live.load(), base);
+}
+
+TEST(SkipHash, NodeLayout) {
+  // The plain form's node is key, level and value cell, then the tower;
+  // the hashed form adds one 16-byte hash link before the tower.
+  using SL = medley::ds::FraserSkiplist<std::uint64_t, std::uint64_t>;
+  EXPECT_EQ(SL::node_bytes(1), 48u);
+  EXPECT_EQ(SL::node_bytes(3), 80u);
+  EXPECT_EQ(SH::node_bytes(1), 64u);
+  EXPECT_EQ(SH::node_bytes(3), 96u);
+  TxManager mgr;
+  EXPECT_EQ(SH(&mgr, 0).bucket_count(), 1u);
+  EXPECT_EQ(SH(&mgr, 5).bucket_count(), 8u);  // rounded up to 2^k
+  EXPECT_EQ(SH(&mgr, 64).bucket_count(), 64u);
+}
+
+TEST(SkipHashGrowth, TableDoublesWithCommittedKeysAndNodesStayReachable) {
+  TxManager mgr;
+  SH s(&mgr, 2);
+  EXPECT_EQ(s.sentinels_slow(), 1u);  // bucket 0 heads the list
+  // More than kMaxLoad keys per bucket doubles the table: n keys need 32.
+  const std::uint64_t n = 16 * SH::kMaxLoad + 1;
+  for (std::uint64_t k = 0; k < n; k++) ASSERT_TRUE(s.insert(k, k));
+  EXPECT_EQ(s.bucket_count(), 32u);
+  // An aborted insert batch counts nothing.
+  try {
+    mgr.txBegin();
+    for (std::uint64_t k = 1000; k < 1400; k++) s.insert(k, k);
+    mgr.txAbort();
+  } catch (const TransactionAborted&) {
+  }
+  EXPECT_EQ(s.bucket_count(), 32u);
+  for (std::uint64_t k = 0; k < n; k++) {
+    ASSERT_EQ(s.get(k), std::optional<std::uint64_t>(k)) << k;
+  }
+  EXPECT_EQ(s.sentinels_slow(), 32u);  // every bucket probed, so linked
+  EXPECT_EQ(s.size_slow(), n);
+  EXPECT_EQ(s.scan(n - 10, 20).size(), 10u);
+  EXPECT_TRUE(s.buckets_consistent_slow());
+}
+
+TEST(SkipHashGrowth, ConcurrentOpsAcrossDoublingsSatisfySetInvariants) {
+  // From 2 buckets, 4 threads insert, remove, put, get and scan while the
+  // table doubles several times. Recorded point ops must satisfy the set
+  // invariants; every scan must come back ordered and within bounds.
+  TxManager mgr;
+  SH s(&mgr, 2);
+  std::map<std::uint64_t, std::uint64_t> initial;
+  for (std::uint64_t k = 0; k < 64; k += 4) {
+    s.insert(k, k + 7000);
+    initial[k] = k + 7000;
+  }
+  h::Recorder rec;
+  h::RecordedMap<SH> rm(&s, &rec);
+  std::atomic<bool> bad_scan{false};
+  h::run_seeded(4, 1601, [&](int t, medley::util::Xoshiro256& rng) {
+    for (int i = 0; i < 3000; i++) {
+      const auto k = rng.next_bounded(4096);
+      const auto v = (static_cast<std::uint64_t>(t) << 32) |
+                     static_cast<std::uint64_t>(i);
+      switch (rng.next_bounded(8)) {
+        case 0: case 1: case 2: rm.insert(t, k, v); break;
+        case 3: rm.remove(t, k); break;
+        case 4: rm.put(t, k, v); break;
+        case 5: rm.get(t, k); break;
+        case 6: rm.contains(t, k); break;
+        default: {
+          const std::size_t n = 1 + rng.next_bounded(16);
+          const auto r = s.scan(k, n);
+          bool ok = r.size() <= n;
+          for (std::size_t j = 0; ok && j < r.size(); j++) {
+            ok = r[j].first >= k && (j == 0 || r[j - 1].first < r[j].first);
+          }
+          if (!ok) bad_scan.store(true);
+          break;
+        }
+      }
+    }
+  });
+  EXPECT_FALSE(bad_scan.load());
+  EXPECT_GE(s.bucket_count(), 128u) << "the table should have doubled";
+  EXPECT_TRUE(
+      h::check_set_history(rec.history(), initial, h::observed_state(s)));
+  EXPECT_TRUE(s.invariants_hold_slow());
+  EXPECT_TRUE(s.buckets_consistent_slow());
+}
+
+namespace {
+
+/// Odd keys that grow a 2-bucket table to 4.
+constexpr std::uint64_t kOddKeys = 2 * SH::kMaxLoad + 1;
+
+/// A table grown to 4 buckets with odd keys only, so bucket 2's sentinel
+/// (ordered after every key that is 0 mod 4, before every key that is
+/// 2 mod 4) is not linked yet.
+void grow_with_odd_keys(SH& s) {
+  for (std::uint64_t i = 0; i < kOddKeys; i++) {
+    ASSERT_TRUE(s.insert(2 * i + 1, 2 * i + 1));
+  }
+  ASSERT_EQ(s.bucket_count(), 4u);
+  ASSERT_EQ(s.sentinels_slow(), 2u);  // buckets 0 and 1
+}
+
+}  // namespace
+
+TEST(SkipHashSentinels, OwnDescriptorOnTheLinkPointSkipsTheSentinel) {
+  // The transaction links key 4 right after bucket 0's sentinel, then
+  // touches bucket 2, whose sentinel belongs right after key 4: the link
+  // point holds the transaction's own descriptor. A plain CAS there would
+  // finalize, and so abort, the caller; the probe starts from bucket 0
+  // instead. Both outcomes leave the list consistent, and the next touch
+  // links the sentinel.
+  for (const bool commit : {true, false}) {
+    SCOPED_TRACE(commit ? "commit" : "abort");
+    TxManager mgr;
+    SH s(&mgr, 2);
+    grow_with_odd_keys(s);
+    mgr.txBegin();
+    EXPECT_TRUE(s.insert(4, 40));
+    EXPECT_TRUE(s.insert(2, 20));  // bucket 2: the caller is not aborted
+    EXPECT_EQ(s.get(2), std::optional<std::uint64_t>(20));
+    EXPECT_EQ(s.range(2, 4), (std::vector<KV>{{2, 20}, {3, 3}, {4, 40}}));
+    if (commit) {
+      mgr.txEnd();
+    } else {
+      try {
+        mgr.txAbort();
+      } catch (const TransactionAborted&) {
+      }
+    }
+    EXPECT_EQ(s.sentinels_slow(), 2u) << "skipped, not linked";
+    EXPECT_TRUE(s.buckets_consistent_slow());
+    EXPECT_EQ(s.contains(2), commit);
+    EXPECT_EQ(s.sentinels_slow(), 3u) << "the next touch links bucket 2";
+    EXPECT_EQ(s.contains(4), commit);
+    EXPECT_TRUE(s.insert(6, 60));  // lands right after bucket 2's sentinel
+    EXPECT_TRUE(s.buckets_consistent_slow());
+    EXPECT_EQ(s.size_slow(), kOddKeys + (commit ? 3 : 1));
+  }
+}
+
+TEST(SkipHashSentinels, SentinelLinkedByAnAbortedTransactionStaysLinked) {
+  // Sentinels are structure, not state: the one a transaction links on
+  // its first touch of bucket 2 stays linked after the transaction
+  // aborts, from a full or a read-only transaction, and the bucket keeps
+  // working from it.
+  for (const bool ro : {false, true}) {
+    SCOPED_TRACE(ro ? "read-only" : "full");
+    TxManager mgr;
+    SH s(&mgr, 2);
+    grow_with_odd_keys(s);
+    try {
+      ro ? mgr.txBeginRO() : mgr.txBegin();
+      EXPECT_FALSE(s.get(6).has_value());
+      if (!ro) {
+        EXPECT_TRUE(s.insert(1001, 1));
+      }
+      mgr.txAbort();
+    } catch (const TransactionAborted&) {
+    }
+    EXPECT_EQ(s.sentinels_slow(), 3u);
+    EXPECT_TRUE(s.buckets_consistent_slow());
+    EXPECT_FALSE(s.contains(1001));
+    EXPECT_TRUE(s.insert(6, 60));
+    EXPECT_TRUE(s.insert(2, 20));
+    EXPECT_EQ(s.range(1, 7),
+              (std::vector<KV>{{1, 1}, {2, 20}, {3, 3}, {5, 5}, {6, 60},
+                               {7, 7}}));
+    EXPECT_TRUE(s.buckets_consistent_slow());
+  }
+}
+
+TEST(SkipHashScanEntry, EntryNodeEvidenceCatchesChangesAtLo) {
+  // A scan from a present lo enters level 0 at lo's node. Before the
+  // scanning transaction commits, a peer removes lo, inserts a key right
+  // after lo, or updates lo in place: each fails its validation. A change
+  // to an unrelated key lets it commit. Read-only and full paths.
+  enum class Peer { RemoveLo, InsertAfterLo, UpdateLo, Unrelated };
+  for (const bool ro : {true, false}) {
+    for (const Peer peer : {Peer::RemoveLo, Peer::InsertAfterLo,
+                            Peer::UpdateLo, Peer::Unrelated}) {
+      SCOPED_TRACE(std::string(ro ? "read-only" : "full") + " peer " +
+                   std::to_string(static_cast<int>(peer)));
+      TxManager mgr;
+      SH s(&mgr, 4);
+      for (std::uint64_t k = 1; k <= 12; k++) {
+        if (k != 5) s.insert(k, k);
+      }
+      std::vector<KV> seen;
+      std::optional<medley::AbortReason> abort_reason;
+      h::ScheduleDriver d;
+      d.add_thread({[&] {
+                      ro ? mgr.txBeginRO() : mgr.txBegin();
+                      seen = s.scan(4, 3);
+                    },
+                    [&] {
+                      try {
+                        ro ? mgr.txEndRO() : mgr.txEnd();
+                      } catch (const TransactionAborted& e) {
+                        abort_reason = e.reason();
+                      }
+                    }});
+      d.add_thread({[&] {
+        switch (peer) {
+          case Peer::RemoveLo: EXPECT_TRUE(s.remove(4).has_value()); break;
+          case Peer::InsertAfterLo: EXPECT_TRUE(s.insert(5, 5)); break;
+          case Peer::UpdateLo: EXPECT_TRUE(s.put(4, 44).has_value()); break;
+          case Peer::Unrelated:
+            EXPECT_TRUE(s.put(11, 111).has_value());
+            break;
+        }
+      }});
+      d.run({0, 1, 0});
+      EXPECT_EQ(seen, (std::vector<KV>{{4, 4}, {6, 6}, {7, 7}}));
+      if (peer == Peer::Unrelated) {
+        EXPECT_FALSE(abort_reason.has_value());
+      } else {
+        ASSERT_TRUE(abort_reason.has_value());
+        EXPECT_EQ(*abort_reason, medley::AbortReason::Validation);
+      }
+    }
+  }
+}
+
+TEST(SkipHashScanEntry, EntryPathMatchesTheDescentPath) {
+  // Present and absent lo give the same windows, inside a transaction that
+  // removed, re-inserted and added keys around them too.
+  TxManager mgr;
+  SH s(&mgr, 2);
+  for (std::uint64_t k = 0; k < 100; k += 3) s.insert(k, k);
+  std::map<std::uint64_t, std::uint64_t> oracle;
+  for (std::uint64_t k = 0; k < 100; k += 3) oracle[k] = k;
+  medley::execute_tx(mgr, [&] {
+    s.remove(30);
+    s.put(31, 310);
+    s.remove(33);
+    s.put(33, 330);
+  });
+  oracle.erase(30);
+  oracle[31] = 310;
+  oracle[33] = 330;
+  for (std::uint64_t lo = 0; lo < 105; lo++) {
+    std::vector<KV> want;
+    for (auto it = oracle.lower_bound(lo);
+         it != oracle.end() && want.size() < 4; ++it) {
+      want.push_back(*it);
+    }
+    ASSERT_EQ(s.scan(lo, 4), want) << lo;
+  }
 }

@@ -294,6 +294,71 @@ TEST(Store, MixedWorkloadMutualConsistency8Threads) {
   EXPECT_EQ(st.feed_polled, log.size());
 }
 
+TEST(Store, IndexGrowsFromFewBucketsAndKeepsInvariants) {
+  // The SkipHash index starts at 64 buckets and doubles several times
+  // while three writers load 51k fresh keys (deleting every tenth again)
+  // and a reader scans; I1 and I2 hold at the end.
+  TxManager mgr;
+  Store s(&mgr, {.buckets = 64});
+  constexpr std::uint64_t kPerThread = 17'000;
+  std::atomic<bool> bad_scan{false};
+  h::run_seeded(4, 77, [&](int t, medley::util::Xoshiro256& rng) {
+    if (t == 3) {
+      for (int i = 0; i < 2000; i++) {
+        const auto lo = rng.next_bounded(3 * kPerThread);
+        const auto w = s.scan(lo, 8);
+        for (std::size_t j = 0; j < w.size(); j++) {
+          if (w[j].first < lo || (j > 0 && !(w[j - 1].first < w[j].first)) ||
+              w[j].second != w[j].first * 2) {
+            bad_scan.store(true);
+          }
+        }
+      }
+      return;
+    }
+    for (std::uint64_t i = 0; i < kPerThread; i++) {
+      const std::uint64_t k = i * 3 + static_cast<std::uint64_t>(t);
+      s.put(k, k * 2);
+      if (i % 10 == 9) s.del(k);
+    }
+  });
+  EXPECT_FALSE(bad_scan.load());
+  EXPECT_GE(s.primary().bucket_count(), 8192u);
+  EXPECT_EQ(s.primary().size_slow(), 3 * kPerThread * 9 / 10);
+  EXPECT_TRUE(mutually_consistent(s));
+  std::vector<medley::store::FeedEntry<std::uint64_t, std::uint64_t>> log;
+  for (;;) {
+    auto batch = s.poll_feed(512);
+    if (batch.empty()) break;
+    log.insert(log.end(), batch.begin(), batch.end());
+  }
+  std::map<std::uint64_t, std::uint64_t> replayed;
+  medley::store::replay_feed(log, replayed);
+  std::map<std::uint64_t, std::uint64_t> primary_now;
+  for (const auto& [k, v] : s.range(0, ~0ULL)) primary_now[k] = v;
+  EXPECT_EQ(replayed, primary_now);
+}
+
+TEST(Store, ZeroBucketsIsRejectedAtConstruction) {
+  // A hash index needs a bucket: every store rejects buckets = 0 up front
+  // rather than failing on its first operation.
+  TxManager mgr;
+  EXPECT_THROW(Store(&mgr, {.buckets = 0}), std::invalid_argument);
+  EXPECT_THROW((medley::store::ShardedMedleyStore<std::uint64_t,
+                                                  std::uint64_t>(
+                   4, {.buckets = 0})),
+               std::invalid_argument);
+  auto path = temp_region("zero_buckets");
+  {
+    medley::montage::PRegion region(path, 64);
+    medley::montage::EpochSys es(&region);
+    es.attach(&mgr);
+    EXPECT_THROW(PersistentMedleyStore(&mgr, &es, 1, {.buckets = 0}),
+                 std::invalid_argument);
+  }
+  std::remove(path.c_str());
+}
+
 TEST(Store, SchedulePinnedCrossIndexConflictAbortsNotTears) {
   // t0 opens a transaction and flat-nests a store put; t1 commits a full
   // put to the same key mid-flight; t0 tries to commit. Eager contention
