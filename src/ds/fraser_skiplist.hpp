@@ -53,8 +53,11 @@
 //   range/scan : a probe for lo; present with an unmarked level-0 link —
 //            the walk enters level 0 at lo's node, whose registered link
 //            witnesses it live (no key lies between lo and itself, so no
-//            predecessor evidence is needed). An absent lo, a marked node
-//            or any restart descends as in the plain form.
+//            predecessor evidence is needed). An absent lo or a marked node
+//            pays that probe and then the plain form's descent; a restart
+//            descends at once. A caller that knows lo is absent (a sharded
+//            store reading a shard lo does not route to) passes
+//            ScanEntry::kDescend and skips the probe.
 // Every mutation of the hashed form runs in a transaction (a bare call is
 // a one-op transaction), so no reader sees one list changed without the
 // other. Sentinels are structure, not state: a walk over committed links
@@ -101,6 +104,14 @@
 
 namespace medley::ds {
 
+/// How an ordered read (range/scan) of the hashed form reaches its first
+/// key. kProbe probes lo's bucket and, when lo is present, enters level 0
+/// at its node; an absent lo then pays that probe AND the full descent.
+/// kDescend descends at once, for a caller that knows lo is absent — a
+/// sharded store reading a shard that lo does not route to. The plain
+/// form always descends.
+enum class ScanEntry { kProbe, kDescend };
+
 template <typename K, typename V, int kMaxLevel = 20, bool kHashed = false>
 class FraserSkiplist : public core::Composable {
  public:
@@ -146,6 +157,14 @@ class FraserSkiplist : public core::Composable {
     requires kHashed
   {
     return table_.size.load();
+  }
+
+  /// The bucket k belongs to in a table of `size` (a power of two)
+  /// buckets; tests pick keys by it.
+  static std::size_t bucket_of_key(const K& k, std::size_t size)
+    requires kHashed
+  {
+    return bucket_of(node_order(k), size);
   }
 
   std::optional<V> get(const K& k) {
@@ -294,16 +313,19 @@ class FraserSkiplist : public core::Composable {
   /// next[0], a remove marks one, an update re-writes one in place).
   /// Read-set capacity bounds the window (~4K entries; overflow is a
   /// retryable Capacity abort).
-  std::vector<std::pair<K, V>> range(const K& lo, const K& hi) {
+  /// `entry` picks how the hashed form reaches lo (see ScanEntry).
+  std::vector<std::pair<K, V>> range(const K& lo, const K& hi,
+                                     ScanEntry entry = ScanEntry::kProbe) {
     return scan_impl(
         lo, [&hi](const K& k) { return !(hi < k); },
-        std::numeric_limits<std::size_t>::max());
+        std::numeric_limits<std::size_t>::max(), entry);
   }
 
   /// Ordered scan: up to `limit` live entries with key >= lo, ascending.
   /// Same transactional evidence as range() for the visited prefix.
-  std::vector<std::pair<K, V>> scan(const K& lo, std::size_t limit) {
-    return scan_impl(lo, [](const K&) { return true; }, limit);
+  std::vector<std::pair<K, V>> scan(const K& lo, std::size_t limit,
+                                    ScanEntry entry = ScanEntry::kProbe) {
+    return scan_impl(lo, [](const K&) { return true; }, limit, entry);
   }
 
   /// Quiescent scans (tests/diagnostics). The hashed form counts the live
@@ -336,6 +358,23 @@ class FraserSkiplist : public core::Composable {
       if (is_sentinel(e)) n++;
     });
     return n;
+  }
+
+  /// Quiescent count of the live nodes of the fullest bucket at the
+  /// current table size (tests): a probe of a linked bucket walks past at
+  /// most that many nodes.
+  std::size_t max_bucket_load_slow()
+    requires kHashed
+  {
+    OpStarter op(mgr);
+    const std::size_t size = table_.size.load();
+    std::vector<std::size_t> load(size);
+    walk_hash_slow([&load, size](Node* e, Node* raw) {
+      if (!is_sentinel(e) && !is_marked(raw)) {
+        load[bucket_of(node_order(e->key), size)]++;
+      }
+    });
+    return *std::max_element(load.begin(), load.end());
   }
 
   std::vector<K> keys_slow() {
@@ -430,7 +469,7 @@ class FraserSkiplist : public core::Composable {
       if (v != kUninit && !is_linked(v)) return false;
     }
     for (const auto& [node, pos] : live_at) {
-      std::size_t b = node_hash(node->key) & (size - 1);
+      std::size_t b = bucket_of(node_order(node->key), size);
       while (b != 0 && sentinel_at.count(b) == 0) b = parent_of(b);
       if (sentinel_at.count(b) == 0 || !(sentinel_at[b] < pos)) return false;
     }
@@ -675,12 +714,20 @@ class FraserSkiplist : public core::Composable {
     x = ((x >> 1) & 0x5555555555555555ULL) | ((x & 0x5555555555555555ULL) << 1);
     return x;
   }
-  static std::uint64_t node_hash(const K& k) { return std::hash<K>{}(k); }
-  /// Split order: a node sorts by its bit-reversed hash (odd), bucket b's
-  /// sentinel by reversed b (even), i.e. right before b's nodes; nodes of
-  /// equal order sort by key.
+  /// Split order: a node sorts by its key's finalized hash (made odd),
+  /// bucket b's sentinel by reversed b (even), i.e. right before the nodes
+  /// whose order, bit-reversed, ends in b; nodes of equal order sort by
+  /// key. The finalizer matters: std::hash is the identity on integers on
+  /// common stdlibs, so strided keys (i * 1024) would share their low bits
+  /// and pile into a few buckets at any table size. A bucket index is the
+  /// reversal of the finalized hash's HIGH bits, which are independent of
+  /// the low bits ShardedMedleyStore::shard_of routes by, so one shard's
+  /// keys still spread over all of that shard's buckets.
   static std::uint64_t node_order(const K& k) {
-    return reverse_bits(node_hash(k)) | 1;
+    return util::mix64(static_cast<std::uint64_t>(std::hash<K>{}(k))) | 1;
+  }
+  static std::size_t bucket_of(std::uint64_t order, std::size_t size) {
+    return static_cast<std::size_t>(reverse_bits(order)) & (size - 1);
   }
   static std::uint64_t sentinel_order(std::size_t b) {
     return reverse_bits(b);
@@ -866,10 +913,9 @@ class FraserSkiplist : public core::Composable {
   /// remover retires after its own probe and search. Returns true iff
   /// bcurr holds k.
   bool probe(Pos& pos, const K& k) {
-    const std::uint64_t hash = node_hash(k);
-    const std::uint64_t order = reverse_bits(hash) | 1;  // node_order(k)
+    const std::uint64_t order = node_order(k);
   retry:
-    Link* prev = start_cell(hash & (table_.size.load() - 1));
+    Link* prev = start_cell(bucket_of(order, table_.size.load()));
     Node* curr = follow(*prev);
     for (;;) {
       if (curr != nullptr && is_sentinel(curr)) {
@@ -943,11 +989,14 @@ class FraserSkiplist : public core::Composable {
 
   /// Shared body of range()/scan(): walk level 0 from the first key >= lo,
   /// collecting live entries while `in_range(key)` holds and the limit is
-  /// unspent. The hashed form's first pass enters at lo's node when a
-  /// probe finds it: registering its unmarked level-0 link, as the walk
-  /// does for every node it collects, witnesses it live, and no key lies
-  /// between lo and itself. Otherwise the walk starts from find(lo)'s
-  /// level-0 predecessor, whose link it registers. Marked nodes
+  /// unspent. With ScanEntry::kProbe, the hashed form's first pass probes
+  /// for lo and enters at its node when it is there: registering its
+  /// unmarked level-0 link, as the walk does for every node it collects,
+  /// witnesses it live, and no key lies between lo and itself. Otherwise
+  /// the walk starts from find(lo)'s level-0 predecessor, whose link it
+  /// registers; for an absent lo that descent comes after the wasted
+  /// probe, while kDescend, the plain form and a restart descend at once.
+  /// Marked nodes
   /// encountered mid-walk are helped out exactly as in find() —
   /// including our own speculative removals, whose unlink CAS
   /// promotes into the transaction's write set — and a failed unlink
@@ -964,7 +1013,7 @@ class FraserSkiplist : public core::Composable {
   /// Capacity abort.)
   template <typename InRange>
   std::vector<std::pair<K, V>> scan_impl(const K& lo, InRange&& in_range,
-                                         std::size_t limit) {
+                                         std::size_t limit, ScanEntry how) {
     OpStarter op(mgr);
     std::vector<std::pair<K, V>> out;
     bool dedup = false;
@@ -975,7 +1024,8 @@ class FraserSkiplist : public core::Composable {
         addToReadSet(cell, val);
       }
     };
-    bool entry = kHashed;  // the first pass may enter at lo's node
+    // The first pass may enter at lo's node.
+    bool entry = kHashed && how == ScanEntry::kProbe;
     for (;;) {
       out.clear();
       Pos pos;

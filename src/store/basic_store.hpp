@@ -21,7 +21,8 @@
 //     nodes are also linked into a split-ordered hash list — so a
 //     present-key put is a bucket probe plus two CASes on the one shared
 //     node (no descent, no allocation), and range/scan enter the same
-//     nodes' level 0 at lo's node.
+//     nodes' level 0 at lo's node when lo is present (an absent lo pays
+//     the probe, then descends).
 //   two-index (distinct types): a mutation updates the primary, then the
 //     secondary, in one transaction. PersistentMedleyStore uses it with
 //     the txMontage hash table and skiplist.
@@ -56,6 +57,7 @@
 
 #include "core/combiner.hpp"
 #include "core/medley.hpp"
+#include "ds/fraser_skiplist.hpp"
 #include "ds/ms_queue.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
@@ -387,16 +389,33 @@ class BasicMedleyStore : public core::Composable {
   // ---- ordered operations (secondary index) ------------------------------
 
   /// Atomic snapshot of all entries with lo <= key <= hi, ascending.
-  std::vector<std::pair<K, V>> range(const K& lo, const K& hi) {
+  /// `entry` reaches the secondary when it takes one (ds::ScanEntry: a
+  /// sharded store passes kDescend for a shard lo does not route to).
+  std::vector<std::pair<K, V>> range(
+      const K& lo, const K& hi, ds::ScanEntry entry = ds::ScanEntry::kProbe) {
     std::vector<std::pair<K, V>> out;
-    exec_ro(kOpRange, [&] { out = secondary_->range(lo, hi); });
+    exec_ro(kOpRange, [&] {
+      if constexpr (requires { secondary_->range(lo, hi, entry); }) {
+        out = secondary_->range(lo, hi, entry);
+      } else {
+        out = secondary_->range(lo, hi);
+      }
+    });
     return out;
   }
 
   /// Atomic snapshot of up to `limit` entries with key >= lo, ascending.
-  std::vector<std::pair<K, V>> scan(const K& lo, std::size_t limit) {
+  std::vector<std::pair<K, V>> scan(
+      const K& lo, std::size_t limit,
+      ds::ScanEntry entry = ds::ScanEntry::kProbe) {
     std::vector<std::pair<K, V>> out;
-    exec_ro(kOpScan, [&] { out = secondary_->scan(lo, limit); });
+    exec_ro(kOpScan, [&] {
+      if constexpr (requires { secondary_->scan(lo, limit, entry); }) {
+        out = secondary_->scan(lo, limit, entry);
+      } else {
+        out = secondary_->scan(lo, limit);
+      }
+    });
     return out;
   }
 

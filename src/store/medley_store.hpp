@@ -3,10 +3,11 @@
 // over one ds::SkipHash, a Fraser skiplist whose nodes are also linked
 // into a split-ordered hash list: point operations reach a key's node
 // through its bucket, and range/scan enter level 0 at lo's node the same
-// way when lo is present, then walk the same nodes in order. The bucket
-// table starts at StoreConfig::buckets, rounded up to a power of two, and
-// doubles as keys accumulate. See basic_store.hpp for the transaction
-// choreography and invariants.
+// way when lo is present (an absent lo pays that probe, then descends),
+// then walk the same nodes in order. The bucket table starts at
+// StoreConfig::buckets, rounded up to a power of two, and doubles as keys
+// accumulate. See basic_store.hpp for the transaction choreography and
+// invariants.
 
 #include "ds/fraser_skiplist.hpp"
 #include "store/basic_store.hpp"

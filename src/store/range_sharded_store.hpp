@@ -205,7 +205,8 @@ class RangeShardedMedleyStore
   /// shards whose interval intersects [lo, hi] are touched, and their runs
   /// concatenate in shard order — contiguous disjoint intervals make the
   /// concatenation globally sorted with no merge step. A window inside one
-  /// shard is that shard's own single-manager transaction.
+  /// shard is that shard's own single-manager transaction. Only lo's own
+  /// shard probes for lo (entry_for).
   std::vector<std::pair<K, V>> range(const K& lo, const K& hi) {
     if (hi < lo) return {};
     const auto [s0, s1] = part_.shard_span(lo, hi);
@@ -214,7 +215,7 @@ class RangeShardedMedleyStore
     this->cross_exec_ro([&] {
       out.clear();
       for (std::size_t i = s0; i <= s1; i++) {
-        auto run = shards_[i].store->range(lo, hi);
+        auto run = shards_[i].store->range(lo, hi, this->entry_for(i, s0));
         out.insert(out.end(), std::make_move_iterator(run.begin()),
                    std::make_move_iterator(run.end()));
       }
@@ -229,7 +230,8 @@ class RangeShardedMedleyStore
   /// that turns out empty (or shorter than the remainder) simply passes
   /// through to its neighbor, and shards left of lo are never descended
   /// into. When lo routes to the last shard the whole scan is that
-  /// shard's own single-manager transaction.
+  /// shard's own single-manager transaction. Only lo's own shard probes
+  /// for lo (entry_for).
   std::vector<std::pair<K, V>> scan(const K& lo, std::size_t limit) {
     if (limit == 0) return {};
     const std::size_t n = shards_.size();
@@ -239,7 +241,8 @@ class RangeShardedMedleyStore
     this->cross_exec_ro([&] {
       out.clear();
       for (std::size_t i = s0; i < n && out.size() < limit; i++) {
-        auto run = shards_[i].store->scan(lo, limit - out.size());
+        auto run = shards_[i].store->scan(lo, limit - out.size(),
+                                          this->entry_for(i, s0));
         out.insert(out.end(), std::make_move_iterator(run.begin()),
                    std::make_move_iterator(run.end()));
       }

@@ -333,6 +333,13 @@ class ShardedStoreBase {
   }
 
  protected:
+  /// Entry of a merged ordered read into shard i: only lo's own shard
+  /// `home` can hold lo, so every other shard descends without probing
+  /// for it (ds::ScanEntry).
+  static ds::ScanEntry entry_for(std::size_t i, std::size_t home) {
+    return i == home ? ds::ScanEntry::kProbe : ds::ScanEntry::kDescend;
+  }
+
   struct Slot {
     std::unique_ptr<core::TxManager> mgr;
     std::unique_ptr<Shard> store;

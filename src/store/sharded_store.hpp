@@ -80,13 +80,15 @@ class ShardedMedleyStore
   /// Atomic ordered snapshot of all entries with lo <= key <= hi across
   /// every shard: one transaction collects each shard's window, then a
   /// k-way merge of the sorted runs yields global order (one read-only
-  /// snapshot across the shards; see cross_exec_ro).
+  /// snapshot across the shards; see cross_exec_ro). Only lo's own shard
+  /// probes for lo (entry_for).
   std::vector<std::pair<K, V>> range(const K& lo, const K& hi) {
     if (shards_.size() == 1) return shards_[0].store->range(lo, hi);
     std::vector<std::vector<std::pair<K, V>>> runs(shards_.size());
+    const std::size_t home = shard_of(lo);
     this->cross_exec_ro([&] {
       for (std::size_t i = 0; i < shards_.size(); i++) {
-        runs[i] = shards_[i].store->range(lo, hi);
+        runs[i] = shards_[i].store->range(lo, hi, this->entry_for(i, home));
       }
     });
     return merge_runs(runs, std::numeric_limits<std::size_t>::max());
@@ -99,11 +101,14 @@ class ShardedMedleyStore
   /// mid-merge fetches deeper — still inside the same transaction, so the
   /// result stays one atomic snapshot. Naively fetching `limit` per shard
   /// would multiply the scan's work and read-set footprint by N (measured
-  /// as a YCSB-E collapse at 4+ shards).
+  /// as a YCSB-E collapse at 4+ shards). Only lo's own shard probes for
+  /// lo (entry_for); a deeper fetch probes for the run's last key, which
+  /// this transaction just read.
   std::vector<std::pair<K, V>> scan(const K& lo, std::size_t limit) {
     const std::size_t n = shards_.size();
     if (limit == 0) return {};
     if (n == 1) return shards_[0].store->scan(lo, limit);
+    const std::size_t home = shard_of(lo);
     std::vector<std::pair<K, V>> out;
     this->cross_exec_ro([&] {
       out.clear();
@@ -115,7 +120,7 @@ class ShardedMedleyStore
       // (it returned fewer than asked), as opposed to "fetch more".
       std::vector<bool> exhausted(n);
       for (std::size_t i = 0; i < n; i++) {
-        runs[i] = shards_[i].store->scan(lo, chunk);
+        runs[i] = shards_[i].store->scan(lo, chunk, this->entry_for(i, home));
         exhausted[i] = runs[i].size() < chunk;
       }
       while (out.size() < limit) {

@@ -251,6 +251,25 @@ TEST(RangeShardedStore, ScanSpansAndRefillsThroughEmptyShards) {
   EXPECT_TRUE(shards_mutually_consistent(s));
 }
 
+TEST(RangeShardedStore, ReadsProbeOnlyLosShard) {
+  // Shards right of lo's hold only larger keys, so a range/scan that
+  // spans them descends there without probing for lo: their indexes link
+  // no sentinel.
+  Store s = make4({.buckets = 1024});
+  for (std::uint64_t k = 0; k < 400; k += 3) s.put(k, k);
+  std::vector<std::size_t> before(s.shard_count());
+  for (std::size_t i = 0; i < s.shard_count(); i++) {
+    before[i] = s.shard(i).primary().sentinels_slow();
+  }
+  EXPECT_EQ(s.scan(90, 40).size(), 40u);    // shards 0..2
+  EXPECT_EQ(s.range(91, 350).size(), 86u);  // shards 0..3
+  for (std::size_t i = 1; i < s.shard_count(); i++) {
+    EXPECT_EQ(s.shard(i).primary().sentinels_slow(), before[i])
+        << "shard " << i << " probed for a key it cannot hold";
+  }
+  EXPECT_TRUE(shards_mutually_consistent(s));
+}
+
 TEST(RangeShardedStore, SchedulePinnedCrossBoundaryMultiPutIsAtomic) {
   // The acceptance scenario, range edition: a write group spanning the
   // shard-1/shard-2 boundary is interrupted halfway by a reader

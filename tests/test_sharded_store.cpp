@@ -152,6 +152,37 @@ TEST(ShardedStore, MergedRangeScanMatchOracle) {
   EXPECT_TRUE(shards_mutually_consistent(s));
 }
 
+TEST(ShardedStore, MergedReadsProbeOnlyLosShard) {
+  // lo can only be present in its own shard, so a merged range/scan
+  // descends into every other shard without probing for lo: their
+  // indexes link no sentinel. Results still match the oracle.
+  Store s(4, {.buckets = 1024});
+  std::map<std::uint64_t, std::uint64_t> oracle;
+  for (std::uint64_t k = 0; k < 400; k += 2) {
+    s.put(k, k);
+    oracle[k] = k;
+  }
+  for (const std::uint64_t lo : {101ULL, 200ULL}) {  // absent, present
+    SCOPED_TRACE(lo);
+    const std::size_t home = s.shard_of(lo);
+    std::vector<std::size_t> before(s.shard_count());
+    for (std::size_t i = 0; i < s.shard_count(); i++) {
+      before[i] = s.shard(i).primary().sentinels_slow();
+    }
+    std::vector<std::pair<std::uint64_t, std::uint64_t>> want(
+        oracle.lower_bound(lo), oracle.upper_bound(lo + 40));
+    EXPECT_EQ(s.range(lo, lo + 40), want);
+    want.resize(8);
+    EXPECT_EQ(s.scan(lo, 8), want);
+    for (std::size_t i = 0; i < s.shard_count(); i++) {
+      if (i != home) {
+        EXPECT_EQ(s.shard(i).primary().sentinels_slow(), before[i])
+            << "shard " << i << " probed for a key it cannot hold";
+      }
+    }
+  }
+}
+
 TEST(ShardedStore, MergedFeedReplaysToPrimaryUnion) {
   Store s(4, {.buckets = 256});
   s.put(1, 10);

@@ -6,12 +6,14 @@
 // semantics against a std::map oracle, the structural agreement of the
 // two views, node reclamation, the bucket-path put racing a remove, read
 // validation of an in-place update and of a scan's entry node, bare calls
-// running as one-op transactions, table growth under concurrency, and
-// lazy sentinels (linked at once whatever the caller's fate, and skipped
-// where the caller's own descriptor sits on the link point).
+// running as one-op transactions, table growth under concurrency, the
+// spread of strided keys over the buckets, lazy sentinels (linked at once
+// whatever the caller's fate, and skipped where the caller's own
+// descriptor sits on the link point), and the probe-free kDescend entry.
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <functional>
 #include <map>
@@ -73,6 +75,28 @@ template <>
 struct std::hash<HookedKey> {
   std::size_t operator()(const HookedKey& k) const { return k.v; }
 };
+
+namespace {
+
+/// The first n keys >= from that belong to bucket b of a `size`-bucket
+/// table (keys are hashed, so a test that needs a layout picks by it).
+std::vector<std::uint64_t> keys_in_bucket(std::size_t b, std::size_t size,
+                                          std::size_t n,
+                                          std::uint64_t from = 1) {
+  std::vector<std::uint64_t> out;
+  for (std::uint64_t k = from; out.size() < n; k++) {
+    if (SH::bucket_of_key(k, size) == b) out.push_back(k);
+  }
+  return out;
+}
+
+/// The entries of `m` with lo <= key <= hi, ascending.
+std::vector<KV> window(const std::map<std::uint64_t, std::uint64_t>& m,
+                       std::uint64_t lo, std::uint64_t hi) {
+  return {m.lower_bound(lo), m.upper_bound(hi)};
+}
+
+}  // namespace
 
 TEST(SkipHash, PointOpsRangeAndBucketCount) {
   TxManager mgr;
@@ -467,6 +491,9 @@ TEST(SkipHashGrowth, TableDoublesWithCommittedKeysAndNodesStayReachable) {
   for (std::uint64_t k = 0; k < n; k++) {
     ASSERT_EQ(s.get(k), std::optional<std::uint64_t>(k)) << k;
   }
+  for (std::size_t b = 0; b < 32; b++) {  // probe every bucket once more
+    s.contains(keys_in_bucket(b, 32, 1)[0]);
+  }
   EXPECT_EQ(s.sentinels_slow(), 32u);  // every bucket probed, so linked
   EXPECT_EQ(s.size_slow(), n);
   EXPECT_EQ(s.scan(n - 10, 20).size(), 10u);
@@ -519,41 +546,76 @@ TEST(SkipHashGrowth, ConcurrentOpsAcrossDoublingsSatisfySetInvariants) {
   EXPECT_TRUE(s.buckets_consistent_slow());
 }
 
+TEST(SkipHashGrowth, StridedAndShardRoutedKeysSpreadOverTheBuckets) {
+  // Keys are hashed through a finalizer, so keys that share their low
+  // bits (strides of 2^10 and 2^20) or their finalized low bits (the keys
+  // one of eight ShardedMedleyStore shards holds: shard_of masks the same
+  // finalizer's low bits) still spread over every bucket, and no bucket's
+  // chain grows far past kMaxLoad as the table grows.
+  constexpr std::size_t n = 20000;
+  std::vector<std::vector<std::uint64_t>> sets(3);
+  for (std::uint64_t i = 0; i < n; i++) {
+    sets[0].push_back(i << 10);
+    sets[1].push_back(i << 20);
+  }
+  for (std::uint64_t k = 0; sets[2].size() < n; k++) {
+    if ((medley::util::mix64(k) & 7) == 0) sets[2].push_back(k);
+  }
+  for (const auto& keys : sets) {
+    TxManager mgr;
+    SH s(&mgr, 64);
+    for (const std::uint64_t k : keys) ASSERT_TRUE(s.insert(k, k));
+    EXPECT_EQ(s.bucket_count(), 4096u);  // n / kMaxLoad, rounded up
+    EXPECT_LE(s.max_bucket_load_slow(), 4u * SH::kMaxLoad)
+        << "first key " << keys[1];
+  }
+}
+
 namespace {
 
-/// Odd keys that grow a 2-bucket table to 4.
+/// Keys that grow a 2-bucket table to 4.
 constexpr std::uint64_t kOddKeys = 2 * SH::kMaxLoad + 1;
 
-/// A table grown to 4 buckets with odd keys only, so bucket 2's sentinel
-/// (ordered after every key that is 0 mod 4, before every key that is
-/// 2 mod 4) is not linked yet.
-void grow_with_odd_keys(SH& s) {
-  for (std::uint64_t i = 0; i < kOddKeys; i++) {
-    ASSERT_TRUE(s.insert(2 * i + 1, 2 * i + 1));
+/// A table grown to 4 buckets with keys of the odd buckets 1 and 3 only,
+/// so bucket 2's sentinel (ordered after every key of bucket 0, before
+/// every key of bucket 2) is not linked yet. Returns the inserted entries.
+std::map<std::uint64_t, std::uint64_t> grow_with_odd_bucket_keys(SH& s) {
+  std::map<std::uint64_t, std::uint64_t> m;
+  for (const std::uint64_t k : keys_in_bucket(1, 2, kOddKeys)) {
+    EXPECT_TRUE(s.insert(k, k));
+    m[k] = k;
   }
-  ASSERT_EQ(s.bucket_count(), 4u);
-  ASSERT_EQ(s.sentinels_slow(), 2u);  // buckets 0 and 1
+  EXPECT_EQ(s.bucket_count(), 4u);
+  EXPECT_EQ(s.sentinels_slow(), 2u);  // buckets 0 and 1
+  return m;
 }
 
 }  // namespace
 
 TEST(SkipHashSentinels, OwnDescriptorOnTheLinkPointSkipsTheSentinel) {
-  // The transaction links key 4 right after bucket 0's sentinel, then
-  // touches bucket 2, whose sentinel belongs right after key 4: the link
-  // point holds the transaction's own descriptor. A plain CAS there would
-  // finalize, and so abort, the caller; the probe starts from bucket 0
-  // instead. Both outcomes leave the list consistent, and the next touch
-  // links the sentinel.
+  // The transaction links key a (bucket 0's only key, so right after
+  // bucket 0's sentinel), then touches bucket 2, whose sentinel belongs
+  // right after a: the link point holds the transaction's own descriptor.
+  // A plain CAS there would finalize, and so abort, the caller; the probe
+  // starts from bucket 0 instead. Both outcomes leave the list
+  // consistent, and the next touch links the sentinel.
+  const std::uint64_t a = keys_in_bucket(0, 4, 1)[0];
+  const auto in2 = keys_in_bucket(2, 4, 2);
+  const std::uint64_t b = in2[0], c = in2[1];
   for (const bool commit : {true, false}) {
     SCOPED_TRACE(commit ? "commit" : "abort");
     TxManager mgr;
     SH s(&mgr, 2);
-    grow_with_odd_keys(s);
+    auto oracle = grow_with_odd_bucket_keys(s);
+    auto spec = oracle;
+    spec[a] = 40;
+    spec[b] = 20;
     mgr.txBegin();
-    EXPECT_TRUE(s.insert(4, 40));
-    EXPECT_TRUE(s.insert(2, 20));  // bucket 2: the caller is not aborted
-    EXPECT_EQ(s.get(2), std::optional<std::uint64_t>(20));
-    EXPECT_EQ(s.range(2, 4), (std::vector<KV>{{2, 20}, {3, 3}, {4, 40}}));
+    EXPECT_TRUE(s.insert(a, 40));
+    EXPECT_TRUE(s.insert(b, 20));  // bucket 2: the caller is not aborted
+    EXPECT_EQ(s.get(b), std::optional<std::uint64_t>(20));
+    const std::uint64_t lo = std::min(a, b), hi = std::max(a, b);
+    EXPECT_EQ(s.range(lo, hi), window(spec, lo, hi));
     if (commit) {
       mgr.txEnd();
     } else {
@@ -564,10 +626,10 @@ TEST(SkipHashSentinels, OwnDescriptorOnTheLinkPointSkipsTheSentinel) {
     }
     EXPECT_EQ(s.sentinels_slow(), 2u) << "skipped, not linked";
     EXPECT_TRUE(s.buckets_consistent_slow());
-    EXPECT_EQ(s.contains(2), commit);
+    EXPECT_EQ(s.contains(b), commit);
     EXPECT_EQ(s.sentinels_slow(), 3u) << "the next touch links bucket 2";
-    EXPECT_EQ(s.contains(4), commit);
-    EXPECT_TRUE(s.insert(6, 60));  // lands right after bucket 2's sentinel
+    EXPECT_EQ(s.contains(a), commit);
+    EXPECT_TRUE(s.insert(c, 60));  // lands after bucket 2's sentinel
     EXPECT_TRUE(s.buckets_consistent_slow());
     EXPECT_EQ(s.size_slow(), kOddKeys + (commit ? 3 : 1));
   }
@@ -578,28 +640,30 @@ TEST(SkipHashSentinels, SentinelLinkedByAnAbortedTransactionStaysLinked) {
   // its first touch of bucket 2 stays linked after the transaction
   // aborts, from a full or a read-only transaction, and the bucket keeps
   // working from it.
+  const auto in2 = keys_in_bucket(2, 4, 2);
+  const std::uint64_t fresh = 1'000'001;
   for (const bool ro : {false, true}) {
     SCOPED_TRACE(ro ? "read-only" : "full");
     TxManager mgr;
     SH s(&mgr, 2);
-    grow_with_odd_keys(s);
+    auto oracle = grow_with_odd_bucket_keys(s);
     try {
       ro ? mgr.txBeginRO() : mgr.txBegin();
-      EXPECT_FALSE(s.get(6).has_value());
+      EXPECT_FALSE(s.get(in2[1]).has_value());
       if (!ro) {
-        EXPECT_TRUE(s.insert(1001, 1));
+        EXPECT_TRUE(s.insert(fresh, 1));
       }
       mgr.txAbort();
     } catch (const TransactionAborted&) {
     }
     EXPECT_EQ(s.sentinels_slow(), 3u);
     EXPECT_TRUE(s.buckets_consistent_slow());
-    EXPECT_FALSE(s.contains(1001));
-    EXPECT_TRUE(s.insert(6, 60));
-    EXPECT_TRUE(s.insert(2, 20));
-    EXPECT_EQ(s.range(1, 7),
-              (std::vector<KV>{{1, 1}, {2, 20}, {3, 3}, {5, 5}, {6, 60},
-                               {7, 7}}));
+    EXPECT_FALSE(s.contains(fresh));
+    EXPECT_TRUE(s.insert(in2[1], 60));
+    EXPECT_TRUE(s.insert(in2[0], 20));
+    oracle[in2[1]] = 60;
+    oracle[in2[0]] = 20;
+    EXPECT_EQ(s.range(0, fresh), window(oracle, 0, fresh));
     EXPECT_TRUE(s.buckets_consistent_slow());
   }
 }
@@ -681,4 +745,26 @@ TEST(SkipHashScanEntry, EntryPathMatchesTheDescentPath) {
     }
     ASSERT_EQ(s.scan(lo, 4), want) << lo;
   }
+}
+
+TEST(SkipHashScanEntry, DescendEntrySkipsTheProbe) {
+  // ScanEntry::kDescend goes straight to the descent: it links no
+  // sentinel, and returns the same windows as kProbe for present and
+  // absent lo alike.
+  using medley::ds::ScanEntry;
+  TxManager mgr;
+  SH s(&mgr, 1024);  // few keys per bucket: most sentinels stay unlinked
+  for (std::uint64_t k = 0; k < 200; k += 2) s.insert(k, k);
+  const std::size_t linked = s.sentinels_slow();
+  std::vector<std::vector<KV>> scans, ranges;
+  for (std::uint64_t lo = 0; lo < 210; lo++) {
+    scans.push_back(s.scan(lo, 5, ScanEntry::kDescend));
+    ranges.push_back(s.range(lo, lo + 9, ScanEntry::kDescend));
+  }
+  EXPECT_EQ(s.sentinels_slow(), linked) << "a kDescend read probed";
+  for (std::uint64_t lo = 0; lo < 210; lo++) {
+    ASSERT_EQ(s.scan(lo, 5), scans[lo]) << lo;
+    ASSERT_EQ(s.range(lo, lo + 9), ranges[lo]) << lo;
+  }
+  EXPECT_GT(s.sentinels_slow(), linked) << "kProbe reads link sentinels";
 }
